@@ -22,7 +22,7 @@ void row(const Protocol& proto, const char* params) {
   sc.max_states = 3'000'000;
   const McResult rs = verify_sc(proto, sc);
   McOptions coh = sc;
-  coh.observer.coherence_only = true;
+  coh.observer.model = MemoryModel::coherence();
   const McResult rc = verify_sc(proto, coh);
   std::printf("  %-14s %-18s | SC: %-10s %8zu states | coherence: %-10s "
               "%8zu states\n",
@@ -48,7 +48,7 @@ void print_table() {
 void BM_VerifyCoherenceMsi(benchmark::State& state) {
   MsiBus proto(2, 1, 1);
   McOptions opt;
-  opt.observer.coherence_only = true;
+  opt.observer.model = MemoryModel::coherence();
   for (auto _ : state) {
     const McResult r = verify_sc(proto, opt);
     if (r.verdict != McVerdict::Verified) state.SkipWithError("?!");

@@ -23,18 +23,7 @@ void check_bandwidth(LintContext& ctx) {
   const ObserverConfig& oc = ctx.options->observer;
   const ProtocolSkeleton& sk = *ctx.skeleton;
 
-  // Unclamped Section 4.4 accounting (mirrors the derivation in
-  // Observer::default_pool_size): L inh-active stores + pb forced-active
-  // loads + po-chain tails + 2b ST-order tails/roots + slack.  The chain
-  // terms follow the configured memory model: coherence threads a chain
-  // per (processor, block) so up to p·b tails stay pinned, and TSO's
-  // per-processor store chain pins one extra tail per processor.
-  const ModelRules& mr = oc.effective_model().rules();
-  const std::size_t po_tails =
-      mr.per_block_chains ? pr.procs * pr.blocks : pr.procs;
-  const std::size_t store_tails = mr.store_chain ? pr.procs : 0;
-  const std::size_t want = pr.locations + pr.procs * pr.blocks + po_tails +
-                           store_tails + 2 * pr.blocks + 8;
+  const std::size_t want = Observer::active_node_bound(proto, oc.model);
 
   // Tightened L term: the forward occupancy fixpoint's maximal number of
   // locations that may simultaneously hold a store's value on a reachable
@@ -51,12 +40,10 @@ void check_bandwidth(LintContext& ctx) {
   }
   const std::size_t live_want = want - pr.locations + live_locs;
 
-  // The bandwidth k the observer will actually emit under (the model-aware
-  // default: TSO widens the pool for its store-chain tails).
+  // The bandwidth k the observer will actually emit under.
   const std::size_t pool =
       oc.pool_size != 0 ? oc.pool_size
-                        : Observer::default_pool_size(proto,
-                                                      oc.effective_model());
+                        : Observer::default_pool_size(proto, oc.model);
   const std::size_t k = oc.location_mirrored ? pr.locations + pool : pool;
 
   RuleCoverage& cov = ctx.coverage(LintRule::R3_Bandwidth);
@@ -82,8 +69,8 @@ void check_bandwidth(LintContext& ctx) {
                 std::to_string(live_want) +
                 (live_locs < pr.locations
                      ? " (max-occupancy " + std::to_string(live_locs) +
-                           " + pb + p + 2b + slack)"
-                     : " (L + pb + p + 2b + slack)") +
+                           " + pb + chain tails + 2b + slack)"
+                     : " (L + pb + chain tails + 2b + slack)") +
                 "; verification may abort with BandwidthExceeded",
             "pool-below-bound");
   } else if (pool < want) {

@@ -166,8 +166,7 @@ void check_interference(LintContext& ctx) {
           const std::size_t pool =
               opt.observer.pool_size != 0
                   ? opt.observer.pool_size
-                  : Observer::default_pool_size(
-                        proto, opt.observer.effective_model());
+                  : Observer::default_pool_size(proto, opt.observer.model);
           const std::size_t k = opt.observer.location_mirrored
                                     ? proto.params().locations + pool
                                     : pool;

@@ -79,6 +79,9 @@ namespace analysis {
 namespace {
 /// Per-rule finding cap; beyond it a single suppression note is emitted.
 constexpr std::size_t kMaxFindingsPerRule = 16;
+/// Skeleton caps of LintOptions::Mode::Sampled.
+constexpr std::size_t kSampledMaxStates = 2048;
+constexpr std::size_t kSampledMaxDepth = 64;
 }  // namespace
 
 void LintContext::add(LintRule rule, LintSeverity severity,
@@ -142,22 +145,14 @@ LintReport lint_protocol(const Protocol& protocol,
   }
 
   // One exhaustive enumeration of the protocol's control skeleton feeds
-  // every rule pass (DESIGN.md §15); Sampled mode honors the deprecated
-  // bounded-BFS knobs for use as a cheap precheck.
+  // every rule pass (DESIGN.md §15); Sampled mode caps it for use as a
+  // cheap precheck.
   analysis::SkeletonBuildOptions sopt;
   if (options.mode == LintOptions::Mode::Sampled) {
-    sopt.max_states = options.max_states;
-    sopt.max_depth = options.max_depth;
+    sopt.max_states = analysis::kSampledMaxStates;
+    sopt.max_depth = analysis::kSampledMaxDepth;
   } else {
     sopt.max_states = options.state_cap;
-    if (options.max_states != LintOptions{}.max_states ||
-        options.max_depth != LintOptions{}.max_depth) {
-      report.findings.push_back(
-          {LintRule::R1_TrackingLabels, LintSeverity::Note,
-           "LintOptions::max_states/max_depth are deprecated sampling caps; "
-           "exhaustive mode ignores them (use state_cap, or Mode::Sampled "
-           "to keep the bounded precheck behavior)"});
-    }
   }
   const analysis::ProtocolSkeleton skeleton =
       analysis::build_skeleton(protocol, sopt);

@@ -202,7 +202,7 @@ struct LintOptions {
     /// Build the full reachable control skeleton (up to state_cap) and give
     /// definite verdicts.  The default: protocol-only graphs are small.
     Exhaustive,
-    /// Cap the skeleton at max_states/max_depth for a cheap bounded
+    /// Cap the skeleton at 2048 states and depth 64 for a cheap bounded
     /// precheck (the model checker's lint-first gate uses this).
     Sampled,
   };
@@ -216,12 +216,6 @@ struct LintOptions {
   /// Bitmask of rules to run (lint_rule_bit).  Unselected rules are marked
   /// coverage[].ran == false, not silently clean.
   std::uint32_t rules = kAllLintRules;
-
-  /// Deprecated: pre-exhaustive sampling caps, honored only in Sampled
-  /// mode.  Setting them away from their defaults in Exhaustive mode draws
-  /// a deprecation note in the report (the exhaustive build ignores them).
-  std::size_t max_states = 2048;
-  std::size_t max_depth = 64;
 
   /// R4 differential prefixes: count and length.
   std::size_t walks = 8;

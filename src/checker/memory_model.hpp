@@ -9,8 +9,7 @@
 //
 //   * which program-order chains the observer threads and the checker
 //     disciplines (per processor for SC/TSO, per (processor, block) for
-//     coherence — the per-location SC of §5, previously the ad-hoc
-//     `coherence_po` / `coherence_only` flags);
+//     coherence — the per-location SC of §5);
 //   * which po edges contribute *structural* (cycle-forming) constraints
 //     (TSO drops the store→load edges: a buffered store may serialize after
 //     any number of program-order-later loads);

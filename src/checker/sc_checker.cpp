@@ -37,13 +37,6 @@ std::string ScCheckerConfig::invalid_reason() const {
            " (bounded preemption under-approximates and is only sound as an "
            "exploration bound on sc)";
   }
-  if (coherence_po && model.kind == ModelKind::Tso) {
-    return "deprecated coherence_po alias conflicts with model tso";
-  }
-  if (coherence_po && model.bounded_preemption()) {
-    return "deprecated coherence_po alias conflicts with a preemption bound "
-           "(bounded preemption is sc-only)";
-  }
   return {};
 }
 
@@ -56,7 +49,7 @@ ScChecker::ScChecker(const ScCheckerConfig& config) : cfg_(config) {
                  reason.c_str());
     std::abort();
   }
-  rules_ = cfg_.effective_model().rules();
+  rules_ = cfg_.model.rules();
   for (std::size_t i = 0; i < kMaxSlots; ++i) id_slot_[i] = kNone;
   for (std::size_t c = 0; c < kMaxChains; ++c) {
     last_op_[c] = kNone;

@@ -49,32 +49,15 @@ struct ScCheckerConfig {
   std::size_t procs = 2;   ///< p
   std::size_t blocks = 1;  ///< b
   std::size_t values = 1;  ///< v (real values 1..v)
-  /// Deprecated alias for `model = MemoryModel::coherence()` (the flag
-  /// predates the model axis): when true and `model` is the default SC, the
-  /// checker verifies *coherence* (per-location SC) — program order is
-  /// maintained per (processor, block) chain, so only same-block ordering
-  /// constraints enter the constraint graph.  Setting this together with a
-  /// non-SC `model` is rejected by invalid_reason().
-  bool coherence_po = false;
   /// The memory model whose rule table instantiates the checker
   /// (memory_model.hpp).  Defaults to SC, which is byte-identical to the
   /// pre-model-axis checker in every serialization and signature path.
   MemoryModel model{};
 
-  /// The model after applying the deprecated coherence_po alias: coherence
-  /// when the alias is set on an otherwise-default SC model, `model`
-  /// unchanged otherwise.  Every consumer of the config dispatches through
-  /// this, never through the raw fields.
-  [[nodiscard]] MemoryModel effective_model() const {
-    MemoryModel m = model;
-    if (coherence_po && m.kind == ModelKind::Sc) m.kind = ModelKind::Coherence;
-    return m;
-  }
-
   /// Empty when every field is in range and the model combination is
   /// consistent; otherwise a precise description of the first offending
-  /// field ("procs = 9 exceeds kMaxProcs = 6", "coherence_po alias
-  /// conflicts with model tso").  The ScChecker constructor aborts with
+  /// field ("procs = 9 exceeds kMaxProcs = 6", "preemption bound 1
+  /// combined with model tso").  The ScChecker constructor aborts with
   /// this message on a bad config; callers holding *untrusted*
   /// configurations (e.g. a run-trace file header) call this first and turn
   /// the reason into a recoverable error instead.
@@ -100,6 +83,7 @@ class ScChecker {
   /// symbols instead of being re-established per call.
   Status feed_batch(std::span<const Symbol> syms);
 
+  [[nodiscard]] const ScCheckerConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] bool rejected() const noexcept { return rejected_; }
   [[nodiscard]] const std::string& reject_reason() const noexcept {
     return reason_;
@@ -235,7 +219,7 @@ class ScChecker {
   Status check_forced_edge(std::size_t from, std::size_t to);
 
   ScCheckerConfig cfg_;
-  /// Rule table of cfg_.effective_model(), cached at construction — the
+  /// Rule table of cfg_.model, cached at construction — the
   /// per-symbol hot path reads it on every node/edge.
   ModelRules rules_;
   [[nodiscard]] const ModelRules& rules() const noexcept { return rules_; }

@@ -323,18 +323,11 @@ std::uint32_t restore_entry(std::span<const std::uint8_t> blob, Product& p,
   return idx;
 }
 
-/// The checker configuration the product pairs with `proto`'s observer.
-ScCheckerConfig checker_config(const Protocol& proto, const McOptions& opt) {
-  const auto& pr = proto.params();
-  return ScCheckerConfig{Observer(proto, opt.observer).bandwidth(), pr.procs,
-                         pr.blocks, pr.values, opt.observer.coherence_only,
-                         opt.observer.model};
-}
-
 struct ReplayOutput {
   std::vector<CounterexampleStep> steps;
   std::string reason;
   std::vector<RunStep> recorded;  ///< filled only when recording
+  ScCheckerConfig checker;        ///< the replay product's checker config
 };
 
 /// Re-executes `path` from the initial state through a fresh product,
@@ -364,12 +357,12 @@ ReplayOutput replay(const Protocol& proto, const McOptions& opt,
                     const std::vector<Transition>& path, bool record) {
   ReplayOutput out;
   Product p(proto, opt.observer, !opt.protocol_only);
+  if (p.with_observer()) out.checker = p.checker().config();
   RunRecorder recorder;
   if (record) p.add_sink(&recorder);
   std::vector<Symbol> symbols;
 
-  ProcCanonicalizer canon(proto, opt.symmetry_reduction,
-                          opt.incremental_canonicalization);
+  ProcCanonicalizer canon(proto, opt.symmetry_reduction);
   Product shadow(proto, opt.observer, !opt.protocol_only);
   std::vector<Symbol> shadow_symbols;
   KeyScratch shadow_key;
@@ -437,7 +430,7 @@ McResult finish_failure(const Protocol& proto, const McOptions& opt,
   if (opt.record_counterexample) {
     RunTrace trace;
     trace.protocol = proto.name();
-    trace.checker = checker_config(proto, opt);
+    trace.checker = rep.checker;
     trace.verdict = result.verdict == McVerdict::Violation
                         ? RunVerdict::Violation
                         : (result.verdict == McVerdict::BandwidthExceeded
@@ -453,7 +446,7 @@ McResult finish_failure(const Protocol& proto, const McOptions& opt,
   // cycle — the Lemma 3.1 witness that the trace is not SC.
   if (result.verdict == McVerdict::Violation) {
     Descriptor d;
-    d.k = Observer(proto, opt.observer).bandwidth();
+    d.k = rep.checker.k;
     for (const CounterexampleStep& step : result.counterexample) {
       d.symbols.insert(d.symbols.end(), step.emitted.begin(),
                        step.emitted.end());
@@ -491,7 +484,7 @@ bool product_symmetry_ok(const Protocol& proto, const McOptions& opt,
   Product perm_cur(proto, opt.observer, with_obs);
   Product succ(proto, opt.observer, with_obs);
   Product perm_succ(proto, opt.observer, with_obs);
-  ProcCanonicalizer canon(proto, true, opt.incremental_canonicalization);
+  ProcCanonicalizer canon(proto, true);
   KeyScratch ka;
   KeyScratch kb;
   std::vector<Transition> trans;
@@ -667,8 +660,7 @@ bool product_por_ok(const Protocol& proto, const McOptions& opt,
   Product cur(proto, opt.observer, with_obs);
   Product sa(proto, opt.observer, with_obs);
   Product sb(proto, opt.observer, with_obs);
-  ProcCanonicalizer canon(proto, opt.symmetry_reduction,
-                          opt.incremental_canonicalization);
+  ProcCanonicalizer canon(proto, opt.symmetry_reduction);
   KeyScratch ka;
   KeyScratch kb;
   std::vector<Transition> trans;
@@ -773,7 +765,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   // context through keys and frontier entries, prune over-budget
   // transitions.  model_check already strips symmetry and POR under it;
   // the gates here keep run_bfs sound even if called with a raw option set.
-  const MemoryModel model = opt.observer.effective_model();
+  const MemoryModel model = opt.observer.model;
   const bool preempt = model.bounded_preemption();
   // POR engages only against the full product: invisibility (C2) is defined
   // relative to the observer/checker pipeline, which protocol_only drops.
@@ -804,8 +796,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   std::vector<std::uint32_t> retries;
 
   Product init(proto, opt.observer, product);
-  ProcCanonicalizer init_canon(proto, opt.symmetry_reduction && !preempt,
-                               opt.incremental_canonicalization);
+  ProcCanonicalizer init_canon(proto, opt.symmetry_reduction && !preempt);
   const bool symmetry = init_canon.active();
   // Sum of orbit sizes over stored states: how many concrete states the
   // canonical representatives cover.  orbit_sum / states is the reduction.
@@ -830,12 +821,11 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
 
   struct Worker {
     Worker(const Protocol& p, const ObserverConfig& c, bool prod,
-           GraphId null_id, bool sym, bool incr, const PorOracle& orc,
-           bool por_on)
+           GraphId null_id, bool sym, const PorOracle& orc, bool por_on)
         : cur(p, c, prod),
           succ(p, c, prod),
           stats(null_id),
-          canon(p, sym, incr),
+          canon(p, sym),
           ample(p, orc, por_on) {}
     Product cur;   ///< entry being expanded (restored from the frontier)
     Product succ;  ///< successor scratch, reused across transitions
@@ -905,8 +895,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   workers.reserve(nworkers);
   for (std::size_t w = 0; w < nworkers; ++w) {
     workers.push_back(std::make_unique<Worker>(
-        proto, opt.observer, product, stats_null_id, symmetry,
-        opt.incremental_canonicalization, oracle, por));
+        proto, opt.observer, product, stats_null_id, symmetry, oracle, por));
     if (opt.symbol_stats && product) {
       workers.back()->succ.add_sink(&workers.back()->stats);
     }
@@ -1519,8 +1508,7 @@ McResult model_check(const Protocol& protocol, const McOptions& options) {
   // scheduling context (last processor, remaining budget) differs, and
   // ample deferral reorders exactly the processor alternation the budget
   // counts.  run_bfs re-derives the same gates defensively.
-  const bool preemption_bounded =
-      opt.observer.effective_model().bounded_preemption();
+  const bool preemption_bounded = opt.observer.model.bounded_preemption();
   if (preemption_bounded && opt.symmetry_reduction) {
     opt.symmetry_reduction = false;
     symmetry_note =

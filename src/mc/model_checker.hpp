@@ -115,14 +115,6 @@ struct McOptions {
   /// canonicalization — with McResult::symmetry_note explaining why —
   /// instead of unsoundly merging non-equivalent states.
   bool symmetry_self_check = true;
-  /// Incremental canonicalization (DESIGN.md §13): cache per-processor
-  /// signatures across the successors of one frontier entry, invalidated by
-  /// the stepped transition's touched-processor mask, and build tie-group
-  /// candidate keys by delta re-keying instead of permuting and
-  /// re-serializing the whole product.  Byte-identical keys and orbit
-  /// counts to the reference path; opt out to run the original
-  /// permute-and-reserialize canonicalizer (the differential tests do).
-  bool incremental_canonicalization = true;
   /// Ample-set partial-order reduction (DESIGN.md §14): expand only a
   /// sound subset of each state's enabled transitions, built from the
   /// protocol's declared independence relation (Protocol::por_enabled /

@@ -6,26 +6,16 @@
 
 namespace scv {
 
-namespace {
-
-ScCheckerConfig product_checker_config(const Protocol& protocol,
-                                       const ObserverConfig& config,
-                                       const Observer& obs) {
-  const auto& pr = protocol.params();
-  return ScCheckerConfig{obs.bandwidth(), pr.procs, pr.blocks, pr.values,
-                         config.coherence_only, config.model};
-}
-
-}  // namespace
-
 Product::Product(const Protocol& protocol, const ObserverConfig& config,
                  bool with_observer)
     : protocol_(&protocol), proto_(protocol) {
   components_[ncomponents_++] = &proto_;
   if (with_observer) {
     obs_ = std::make_unique<ObserverComponent>(protocol, config);
+    const auto& pr = protocol.params();
     chk_ = std::make_unique<CheckerComponent>(
-        product_checker_config(protocol, config, obs_->observer()));
+        ScCheckerConfig{obs_->observer().bandwidth(), pr.procs, pr.blocks,
+                        pr.values, config.model});
     chk_sink_ = std::make_unique<CheckerSink>(chk_->checker());
     components_[ncomponents_++] = obs_.get();
     components_[ncomponents_++] = chk_.get();
@@ -131,9 +121,8 @@ std::string Product::failure_reason(StepOutcome outcome) const {
   return {};
 }
 
-ProcCanonicalizer::ProcCanonicalizer(const Protocol& protocol, bool enable,
-                                     bool incremental)
-    : incremental_(incremental), procs_(protocol.params().procs) {
+ProcCanonicalizer::ProcCanonicalizer(const Protocol& protocol, bool enable)
+    : procs_(protocol.params().procs) {
   active_ = enable && protocol.processor_symmetric() && procs_ >= 2 &&
             procs_ <= ProcPerm::kMax;
   if (active_) {
@@ -148,7 +137,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     *applied = ProcPerm::identity(std::min(procs_, ProcPerm::kMax));
   }
   if (!active_) {
-    p.key(ks);
+    (void)p.key(ks);
     return 1;
   }
 
@@ -156,8 +145,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
   // to the base state, hence the same sorted order and tie groups as any
   // other all-clean successor in this epoch; once one has been sorted, the
   // rest skip the signature fill, sort, and group scan entirely.
-  const bool all_clean =
-      incremental_ && (dirty_mask & ((1u << procs_) - 1)) == 0;
+  const bool all_clean = (dirty_mask & ((1u << procs_) - 1)) == 0;
 
   std::array<std::uint8_t, ProcPerm::kMax> pos{};
   std::array<std::uint8_t, ProcPerm::kMax> gstart{};
@@ -181,7 +169,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     sig_off_[0] = 0;
     for (std::size_t q = 0; q < procs_; ++q) {
       const std::uint32_t bit = 1u << q;
-      const bool clean = incremental_ && (dirty_mask & bit) == 0;
+      const bool clean = (dirty_mask & bit) == 0;
       if (clean && (base_valid_ & bit) != 0) {
         sig_.bytes(base_sig_[q]);
       } else {
@@ -261,7 +249,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     const ProcPerm pi = perm_from_pos();
     p.permute_procs(pi);
     if (applied != nullptr) *applied = pi;
-    p.key(ks);
+    (void)p.key(ks);
     return factorial_;
   }
 
@@ -307,42 +295,28 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     return false;
   };
 
-  if (!incremental_) {
-    // Reference path: physically permute `p` to each candidate and
-    // re-serialize the whole product.  `sigma` tracks the permutation
-    // currently applied, so each candidate costs one delta-permutation.
-    ProcPerm sigma = ProcPerm::identity(procs_);
-    do {
-      const ProcPerm pi = perm_from_pos();
-      p.permute_procs(sigma.inverse().then(pi));
-      sigma = pi;
-      consider(p.key(trial_), pi);
-    } while (advance());
-    p.permute_procs(sigma.inverse().then(best_perm));
-  } else {
-    // Delta re-keying path (DESIGN.md §13): `p` is never mutated inside the
-    // loop.  The protocol slice — the only part whose permuted form is not
-    // cheap to read in place — is kept in a scratch copy and re-permuted by
-    // the delta between consecutive candidates; the observer and checker
-    // serialize *under* the candidate permutation, reading their anchors
-    // through its inverse, which is byte-identical to permute-then-
-    // serialize because permute_procs leaves handles and slots untouched.
-    perm_state_.assign(p.protocol_state().begin(), p.protocol_state().end());
-    ProcPerm prev = ProcPerm::identity(procs_);
-    do {
-      const ProcPerm pi = perm_from_pos();
-      p.protocol().permute_procs(perm_state_, prev.inverse().then(pi));
-      prev = pi;
-      trial_.w.clear();
-      trial_.w.bytes(perm_state_);
-      if (p.with_observer()) {
-        p.observer().serialize(trial_.w, &trial_.ctx.id_canon, &pi);
-        p.checker().serialize_canonical(trial_.w, trial_.ctx.id_canon, &pi);
-      }
-      consider(trial_.w.data(), pi);
-    } while (advance());
-    p.permute_procs(best_perm);
-  }
+  // Delta re-keying (DESIGN.md §13): `p` is never mutated inside the loop.
+  // The protocol slice — the only part whose permuted form is not cheap to
+  // read in place — is kept in a scratch copy and re-permuted by the delta
+  // between consecutive candidates; the observer and checker serialize
+  // *under* the candidate permutation, reading their anchors through its
+  // inverse, which is byte-identical to permute-then-serialize because
+  // permute_procs leaves handles and slots untouched.
+  perm_state_.assign(p.protocol_state().begin(), p.protocol_state().end());
+  ProcPerm prev = ProcPerm::identity(procs_);
+  do {
+    const ProcPerm pi = perm_from_pos();
+    p.protocol().permute_procs(perm_state_, prev.inverse().then(pi));
+    prev = pi;
+    trial_.w.clear();
+    trial_.w.bytes(perm_state_);
+    if (p.with_observer()) {
+      p.observer().serialize(trial_.w, &trial_.ctx.id_canon, &pi);
+      p.checker().serialize_canonical(trial_.w, trial_.ctx.id_canon, &pi);
+    }
+    consider(trial_.w.data(), pi);
+  } while (advance());
+  p.permute_procs(best_perm);
 
   if (applied != nullptr) *applied = best_perm;
   ks.w.clear();

@@ -356,13 +356,12 @@ class ProcCanonicalizer {
 
   /// Inactive unless `enable`, the protocol declares processor symmetry and
   /// 2 <= procs <= ProcPerm::kMax; inactive canonicalization is the
-  /// identity (key() pass-through, orbit size 1).  `incremental` selects the
-  /// DESIGN.md §13 fast path (per-processor signature caching keyed by the
-  /// caller's dirty masks, plus delta re-keying of tie-group candidates);
-  /// `incremental == false` keeps the original permute-and-reserialize
-  /// reference path, retained for differential testing.
-  ProcCanonicalizer(const Protocol& protocol, bool enable,
-                    bool incremental = true);
+  /// identity (key() pass-through, orbit size 1).  Active canonicalization
+  /// is the DESIGN.md §13 incremental path: per-processor signature caching
+  /// keyed by the caller's dirty masks, plus delta re-keying of tie-group
+  /// candidates.  tests/test_incremental_canon.cpp holds the permute-and-
+  /// reserialize reference it must match byte for byte.
+  ProcCanonicalizer(const Protocol& protocol, bool enable);
 
   [[nodiscard]] bool active() const noexcept { return active_; }
 
@@ -394,7 +393,6 @@ class ProcCanonicalizer {
 
  private:
   bool active_ = false;
-  bool incremental_ = true;
   std::size_t procs_ = 1;
   std::uint64_t factorial_ = 1;
   // Scratch, reused across calls to keep the hot loop allocation-free.

@@ -14,13 +14,7 @@ RunTrace record_walk(const Protocol& protocol, const RecordWalkOptions& opt) {
   trace.protocol = protocol.name();
 
   Product p(protocol, opt.observer, /*with_observer=*/true);
-  {
-    const auto& pr = protocol.params();
-    trace.checker = ScCheckerConfig{p.observer().bandwidth(), pr.procs,
-                                    pr.blocks, pr.values,
-                                    opt.observer.coherence_only,
-                                    opt.observer.model};
-  }
+  trace.checker = p.checker().config();
   RunRecorder recorder;
   p.add_sink(&recorder);
 

@@ -12,31 +12,24 @@ namespace {
 [[nodiscard]] GraphId loc_id(LocId l) { return static_cast<GraphId>(l + 1); }
 }  // namespace
 
-std::size_t Observer::default_pool_size(const Protocol& p) {
-  const auto& pr = p.params();
-  // Section 4.4 accounting: up to L inh-active stores, pb forced-active
-  // loads, plus program-order tails (p), ST-order tails and roots (2b),
-  // forced-target successors (bounded by inh-active stores, so within L in
-  // the worst case but typically tiny) and slack.
-  const std::size_t want =
-      pr.locations + pr.procs * pr.blocks + pr.procs + 2 * pr.blocks + 8;
-  return std::min<std::size_t>(want, kMaxBandwidth - 1);
-}
-
-std::size_t Observer::default_pool_size(const Protocol& p,
+std::size_t Observer::active_node_bound(const Protocol& p,
                                         const MemoryModel& model) {
-  std::size_t want = default_pool_size(p);
-  if (model.rules().store_chain) {
-    want = std::min<std::size_t>(want + p.params().procs, kMaxBandwidth - 1);
-  }
-  return want;
+  const auto& pr = p.params();
+  const ModelRules& mr = model.rules();
+  // Forced-target successors are bounded by the inh-active stores, so
+  // within L in the worst case but typically tiny; the slack covers them.
+  const std::size_t chain_tails =
+      mr.per_block_chains ? pr.procs * pr.blocks : pr.procs;
+  const std::size_t store_tails = mr.store_chain ? pr.procs : 0;
+  return pr.locations + pr.procs * pr.blocks + chain_tails + store_tails +
+         2 * pr.blocks + 8;
 }
 
 Observer::Observer(const Protocol& protocol, ObserverConfig config)
     : protocol_(&protocol),
       cfg_(config),
       tracker_(protocol.params().locations),
-      real_time_order_(protocol.real_time_st_order(config.effective_model())) {
+      real_time_order_(protocol.real_time_st_order(config.model)) {
   const auto& pr = protocol.params();
   SCV_EXPECTS(pr.procs <= kMaxObsProcs);
   SCV_EXPECTS(pr.blocks <= kMaxObsBlocks);
@@ -44,12 +37,9 @@ Observer::Observer(const Protocol& protocol, ObserverConfig config)
   // with the kClearSrc sentinel in the tracker (and, in location-mirrored
   // mode, overflow the location-alias ID range).
   SCV_EXPECTS(pr.locations <= kMaxLocations);
-  rules_ = cfg_.effective_model().rules();
-  // Store-chain tails (TSO) pin up to one extra node per processor beyond
-  // the Section 4.4 accounting; the model-aware default widens for them.
-  pool_count_ = cfg_.pool_size != 0
-                    ? cfg_.pool_size
-                    : default_pool_size(protocol, cfg_.effective_model());
+  rules_ = cfg_.model.rules();
+  pool_count_ = cfg_.pool_size != 0 ? cfg_.pool_size
+                                    : default_pool_size(protocol, cfg_.model);
   SCV_EXPECTS(pool_count_ >= 1 && pool_count_ <= kMaxBandwidth);
   if (cfg_.location_mirrored) {
     // IDs 1..L alias locations; the pool sits above them; ID k+1 is the

@@ -32,6 +32,7 @@
 //     kept for fidelity to the paper and as an ablation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,27 +60,12 @@ enum class ObserverStatus : std::uint8_t {
 struct ObserverConfig {
   /// Mirror storage locations as descriptor IDs (Lemma 4.1 style).
   bool location_mirrored = false;
-  /// Pool of node IDs; 0 = use default_pool_size(protocol).
+  /// Pool of node IDs; 0 = use default_pool_size(protocol, model).
   std::size_t pool_size = 0;
-  /// Deprecated alias for `model = MemoryModel::coherence()`: emit program
-  /// order edges per (processor, block) chain instead of per processor, so
-  /// the witness graph certifies *coherence* (per-location SC) rather than
-  /// full SC.  Pair with ScCheckerConfig::coherence_po.
-  bool coherence_only = false;
   /// The memory model whose rule table drives emission (memory_model.hpp):
   /// which po chains are threaded and whether the per-processor store chain
   /// gets its own po edges (TSO).  Pair with ScCheckerConfig::model.
   MemoryModel model{};
-
-  /// The model after applying the deprecated coherence_only alias; see
-  /// ScCheckerConfig::effective_model().
-  [[nodiscard]] MemoryModel effective_model() const {
-    MemoryModel m = model;
-    if (coherence_only && m.kind == ModelKind::Sc) {
-      m.kind = ModelKind::Coherence;
-    }
-    return m;
-  }
 };
 
 class Observer {
@@ -92,18 +78,20 @@ class Observer {
   Observer(const Observer&) = default;
   Observer& operator=(const Observer&) = default;
 
-  /// Recommended node-ID pool size for a protocol: the Section 4.4
-  /// bandwidth accounting L + pb plus program-order/ST-order tails.
-  [[nodiscard]] static std::size_t default_pool_size(const Protocol& p);
+  /// The Section 4.4 static bound on simultaneously active nodes under
+  /// `model`, unclamped: L inh-active stores, pb forced-active loads, one
+  /// tail per program-order chain (p, or pb under per-block chains), one
+  /// store-chain tail per processor under TSO, 2b ST-order tails and roots,
+  /// plus slack.  Lint rule R3 compares configured pools against it.
+  [[nodiscard]] static std::size_t active_node_bound(
+      const Protocol& p, const MemoryModel& model = {});
 
-  /// Model-aware variant: the pool the constructor actually allocates when
-  /// ObserverConfig::pool_size is 0.  Models that thread the per-processor
-  /// store chain (TSO) pin up to one extra tail node per processor beyond
-  /// the SC accounting.  R3/R4 static bounds must use this overload so
-  /// their "configured pool" matches the observer a verification run under
-  /// `model` would build.
-  [[nodiscard]] static std::size_t default_pool_size(const Protocol& p,
-                                                     const MemoryModel& model);
+  /// The pool the constructor allocates when ObserverConfig::pool_size is
+  /// 0: active_node_bound clamped to the representable bandwidth.
+  [[nodiscard]] static std::size_t default_pool_size(
+      const Protocol& p, const MemoryModel& model = {}) {
+    return std::min(active_node_bound(p, model), kMaxBandwidth - 1);
+  }
 
   /// The descriptor bandwidth parameter k this observer emits under (IDs
   /// range over 1..k+1).  Feed the same k to the checker.
@@ -251,7 +239,7 @@ class Observer {
   StIndexTracker tracker_;
   bool real_time_order_ = true;
 
-  /// Rule table of cfg_.effective_model(), cached at construction.
+  /// Rule table of cfg_.model, cached at construction.
   ModelRules rules_{};
   [[nodiscard]] const ModelRules& rules() const noexcept { return rules_; }
 

@@ -118,7 +118,7 @@ void write_trace_header(const RunTrace& trace, std::size_t nsteps,
   w.u8(static_cast<std::uint8_t>(trace.checker.procs));
   w.u8(static_cast<std::uint8_t>(trace.checker.blocks));
   w.u8(static_cast<std::uint8_t>(trace.checker.values));
-  w.u8(trace.checker.coherence_po ? 1 : 0);
+  w.u8(0);  // legacy coherence byte; the model tag carries the model
   write_str(w, to_string(trace.checker.model));
   w.u8(static_cast<std::uint8_t>(trace.verdict));
   write_str(w, trace.reason);
@@ -177,8 +177,7 @@ bool parse_trace_header(TryReader& r, RunTrace& trace, std::uint64_t& nsteps,
     return fail("truncated header");
   }
   if (coherence > 1) return fail("bad coherence flag");
-  // Version 1 predates the model axis: no tag on the wire, the model is SC
-  // (plus the coherence alias byte, which both versions carry).
+  // Version 1 predates the model axis: no tag on the wire, the model is SC.
   MemoryModel model{};
   if (version >= 2) {
     std::string model_tag;
@@ -188,12 +187,24 @@ bool parse_trace_header(TryReader& r, RunTrace& trace, std::uint64_t& nsteps,
       return false;
     }
   }
+  // The legacy coherence byte (set by writers that predate the model tag's
+  // coherence value) folds into the model here and nowhere else.  It can
+  // only refine plain sc; next to a tso or bounded-preemption tag it is a
+  // contradiction.
+  if (coherence != 0) {
+    if (model.kind == ModelKind::Tso || model.bounded_preemption()) {
+      error = "legacy coherence byte conflicts with model tag '" +
+              to_string(model) + "'";
+      return false;
+    }
+    model = MemoryModel::coherence();
+  }
   if (!r.u8(verdict) || !r.str(trace.reason)) return fail("truncated header");
   if (verdict > static_cast<std::uint8_t>(RunVerdict::TrackingInconsistent)) {
     return fail("unknown verdict code");
   }
   trace.checker = ScCheckerConfig{static_cast<std::size_t>(k), procs, blocks,
-                                  values, coherence != 0, model};
+                                  values, model};
   trace.verdict = static_cast<RunVerdict>(verdict);
 
   if (version >= 3) {

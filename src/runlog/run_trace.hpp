@@ -18,7 +18,7 @@
 //
 //   "SCVR" magic | u16 version | header | u-var step count | steps...
 //   header = str protocol | uvar k | u8 procs | u8 blocks | u8 values |
-//            u8 coherence | str model | u8 verdict | str reason
+//            u8 legacy coherence | str model | u8 verdict | str reason
 //   step   = str action | uvar symbol count | symbols...
 //   symbol = u8 tag (0 node / 1 edge / 2 add-ID) | payload
 //   str    = uvar length | bytes
@@ -27,8 +27,10 @@
 // under, in parse_memory_model syntax ("sc", "tso", "coherence", optional
 // "+bpN" suffix).  Version 1 files — identical except for the missing model
 // tag — still parse: their model defaults to SC, so every pre-model-axis
-// trace re-checks exactly as it always did (the coherence byte keeps its
-// meaning as the deprecated per-location-SC alias in both versions).
+// trace re-checks exactly as it always did.  The legacy coherence byte is
+// how older writers asked for per-location SC; the writer always emits 0,
+// and the parser folds a set byte into MemoryModel::coherence() (an error
+// next to a tso or +bpN tag), so nothing past the header ever sees it.
 //
 // Version 3 adds an *optional* excerpt base: when the recorded steps are a
 // suffix of a longer run (the streaming service's quarantine excerpts keep
@@ -87,7 +89,7 @@ struct RunTrace {
 
   // --- Header: provenance and the offline checker's configuration.
   std::string protocol;      ///< protocol name the run was recorded from
-  ScCheckerConfig checker{}; ///< k, p, b, v, coherence, model — feed ScChecker
+  ScCheckerConfig checker{}; ///< k, p, b, v, model — feed ScChecker
   RunVerdict verdict = RunVerdict::Accepted;  ///< verdict at capture time
   std::string reason;        ///< failure reason at capture ("" if accepted)
 

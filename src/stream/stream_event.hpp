@@ -83,8 +83,7 @@ struct PackedConfig {
   std::uint8_t procs;
   std::uint8_t blocks;
   std::uint8_t values;
-  std::uint8_t model_kind;    ///< ModelKind
-  std::uint8_t coherence_po;  ///< deprecated alias flag, carried verbatim
+  std::uint8_t model_kind;  ///< ModelKind
 };
 
 [[nodiscard]] inline PackedConfig pack_config(
@@ -95,7 +94,6 @@ struct PackedConfig {
   p.blocks = static_cast<std::uint8_t>(cfg.blocks);
   p.values = static_cast<std::uint8_t>(cfg.values);
   p.model_kind = static_cast<std::uint8_t>(cfg.model.kind);
-  p.coherence_po = cfg.coherence_po ? 1 : 0;
   return p;
 }
 
@@ -106,7 +104,6 @@ struct PackedConfig {
   cfg.procs = p.procs;
   cfg.blocks = p.blocks;
   cfg.values = p.values;
-  cfg.coherence_po = p.coherence_po != 0;
   cfg.model = MemoryModel{};
   if (p.model_kind < kNumModelKinds) {
     cfg.model.kind = static_cast<ModelKind>(p.model_kind);

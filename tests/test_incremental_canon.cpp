@@ -1,20 +1,20 @@
 // Differential tests for incremental canonicalization (DESIGN.md §13): the
-// dirty-mask/signature-cache/delta-re-keying fast path must be *byte
-// identical* to the reference permute-and-reserialize canonicalizer — same
-// canonical keys, same orbit counts, same verdicts, same recorded
-// counterexamples — and the dirty-mask contract it leans on (a clear bit
-// certifies the processor's signature did not change) must hold along real
-// exploration walks, not just on hand-picked states.
+// dirty-mask/signature-cache/delta-re-keying canonicalizer must be *byte
+// identical* to a reference permute-and-reserialize canonicalizer — same
+// canonical keys, same orbit counts — and the dirty-mask contract it leans
+// on (a clear bit certifies the processor's signature did not change) must
+// hold along real exploration walks, not just on hand-picked states.  The
+// reference lives here, as a test-only oracle built from nothing but the
+// product's public permute_procs / key / proc_signature.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "mc/model_checker.hpp"
 #include "mc/product.hpp"
 #include "protocol/registry.hpp"
-#include "runlog/run_trace.hpp"
 #include "util/byte_io.hpp"
 
 namespace scv {
@@ -37,13 +37,85 @@ std::vector<std::uint8_t> signature_of(const Product& p, ProcId q) {
   return w.data();
 }
 
+struct OracleKey {
+  std::vector<std::uint8_t> key;
+  std::uint64_t orbit = 1;
+};
+
+/// The reference canonicalizer.  Sort the processors by signature (stably,
+/// so ties keep ascending index), then physically permute `p` into every
+/// arrangement of each tie group and re-serialize the whole product,
+/// keeping the least key.  The number of candidates reaching the minimum
+/// is the stabilizer order, so the orbit size is p! / hits.  Identity (and
+/// orbit 1) where the production canonicalizer is inactive.  Leaves `p`
+/// permuted.
+OracleKey reference_canonical_key(Product& p) {
+  const Protocol& proto = p.protocol();
+  const std::size_t procs = proto.params().procs;
+  KeyScratch ks;
+  if (!proto.processor_symmetric() || procs < 2 || procs > ProcPerm::kMax) {
+    const auto key = p.key(ks);
+    return {{key.begin(), key.end()}, 1};
+  }
+  std::vector<std::vector<std::uint8_t>> sig(procs);
+  for (std::size_t q = 0; q < procs; ++q) {
+    sig[q] = signature_of(p, static_cast<ProcId>(q));
+  }
+  std::vector<std::uint8_t> pos(procs);
+  for (std::size_t i = 0; i < procs; ++i) pos[i] = static_cast<std::uint8_t>(i);
+  std::stable_sort(pos.begin(), pos.end(), [&](std::uint8_t a, std::uint8_t b) {
+    return sig[a] < sig[b];
+  });
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  for (std::size_t i = 0; i < procs;) {
+    std::size_t j = i + 1;
+    while (j < procs && sig[pos[j]] == sig[pos[i]]) ++j;
+    groups.emplace_back(i, j);
+    i = j;
+  }
+
+  OracleKey best;
+  std::uint64_t hits = 0;
+  ProcPerm applied = ProcPerm::identity(procs);
+  for (;;) {
+    ProcPerm pi = ProcPerm::identity(procs);
+    for (std::size_t i = 0; i < procs; ++i) {
+      pi.to[pos[i]] = static_cast<std::uint8_t>(i);
+    }
+    p.permute_procs(applied.inverse().then(pi));
+    applied = pi;
+    const auto span = p.key(ks);
+    std::vector<std::uint8_t> key(span.begin(), span.end());
+    if (hits == 0 || key < best.key) {
+      best.key = std::move(key);
+      hits = 1;
+    } else if (key == best.key) {
+      ++hits;
+    }
+    // Odometer over the tie groups, rightmost fastest.
+    std::size_t g = groups.size();
+    while (g > 0) {
+      --g;
+      const auto first = pos.begin() + static_cast<std::ptrdiff_t>(groups[g].first);
+      const auto last = pos.begin() + static_cast<std::ptrdiff_t>(groups[g].second);
+      if (std::next_permutation(first, last)) break;
+      if (g == 0) {
+        std::uint64_t factorial = 1;
+        for (std::size_t i = 2; i <= procs; ++i) factorial *= i;
+        best.orbit = factorial / hits;
+        return best;
+      }
+    }
+  }
+}
+
 // One random walk over `proto`'s product: from each visited state, every
 // enabled successor is canonicalized twice — incrementally (with the
 // successor's real touched-processor mask) and from scratch by the
-// reference path — and the keys and orbit counts must agree byte for byte.
-// Along the way, every processor whose dirty bit is *clear* must have a
-// signature byte-identical to the base state's (the soundness contract the
-// signature cache depends on).
+// reference oracle — and the keys and orbit counts must agree byte for
+// byte.  Along the way, every processor whose dirty bit is *clear* must
+// have a signature byte-identical to the base state's (the soundness
+// contract the signature cache depends on).
 // Returns the number of successors compared (so callers can assert the
 // walk did real work and did not dead-end immediately).
 std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
@@ -53,12 +125,8 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
   Product succ_inc(proto, ocfg, /*with_observer=*/true);
   Product succ_ref(proto, ocfg, /*with_observer=*/true);
 
-  ProcCanonicalizer canon_inc(proto, /*enable=*/true, /*incremental=*/true);
-  ProcCanonicalizer canon_ref(proto, /*enable=*/true, /*incremental=*/false);
-  EXPECT_EQ(canon_inc.active(), canon_ref.active());
-
-  KeyScratch ks_inc;
-  KeyScratch ks_ref;
+  ProcCanonicalizer canon(proto, /*enable=*/true);
+  KeyScratch ks;
   Rng rng{seed};
   std::vector<Transition> ts;
   std::vector<Symbol> syms;
@@ -66,7 +134,7 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
   std::size_t compared = 0;
 
   for (std::size_t base = 0; base < max_bases; ++base) {
-    canon_inc.begin_base();
+    canon.begin_base();
     ts.clear();
     cur.enumerate(ts);
     if (ts.empty()) break;
@@ -89,13 +157,12 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
 
       succ_ref.assign_from(cur);
       EXPECT_EQ(succ_ref.step(ts[i], syms), StepOutcome::Ok);
-      const std::uint64_t orbit_inc =
-          canon_inc.canonicalize_key(succ_inc, ks_inc, nullptr, dirty);
-      const std::uint64_t orbit_ref = canon_ref.canonicalize_key(
-          succ_ref, ks_ref, nullptr, ProcCanonicalizer::kAllDirty);
-      EXPECT_EQ(orbit_inc, orbit_ref)
+      const std::uint64_t orbit =
+          canon.canonicalize_key(succ_inc, ks, nullptr, dirty);
+      const OracleKey ref = reference_canonical_key(succ_ref);
+      EXPECT_EQ(orbit, ref.orbit)
           << proto.name() << ": base " << base << " transition " << i;
-      EXPECT_EQ(ks_inc.w.data(), ks_ref.w.data())
+      EXPECT_EQ(ks.w.data(), ref.key)
           << proto.name() << ": base " << base << " transition " << i
           << ": canonical keys diverge";
       ++compared;
@@ -123,62 +190,6 @@ TEST(IncrementalCanon, DifferentialAlongRandomWalks) {
     // Both walks together must have exercised a real slice of the product
     // (a protocol whose walk dead-ends immediately would vacuously pass).
     EXPECT_GE(compared, 100u) << entry.id;
-  }
-}
-
-// Whole-run parity: exploring with the incremental canonicalizer must be
-// observationally identical to the reference path — not merely the same
-// verdict, but the same state count, depth, transition count and exact
-// orbit accounting (byte-identical keys dedup identically).
-TEST(IncrementalCanon, ModelCheckParityAcrossRegistry) {
-  for (const RegisteredProtocol& entry : protocol_registry()) {
-    const auto proto = entry.make();
-    McOptions inc;
-    inc.max_states = 80'000;
-    inc.incremental_canonicalization = true;
-    McOptions ref = inc;
-    ref.incremental_canonicalization = false;
-    const McResult rinc = model_check(*proto, inc);
-    const McResult rref = model_check(*proto, ref);
-    EXPECT_EQ(rinc.verdict, rref.verdict)
-        << entry.id << ": inc=" << rinc.summary()
-        << " ref=" << rref.summary();
-    EXPECT_EQ(rinc.states, rref.states) << entry.id;
-    EXPECT_EQ(rinc.transitions, rref.transitions) << entry.id;
-    EXPECT_EQ(rinc.depth, rref.depth) << entry.id;
-    EXPECT_EQ(rinc.symmetry_active, rref.symmetry_active) << entry.id;
-    EXPECT_DOUBLE_EQ(rinc.orbit_reduction, rref.orbit_reduction) << entry.id;
-  }
-}
-
-// Counterexample parity on the violating protocols: both canonicalizers
-// must find a violation at the same depth and record byte-identical
-// replayable traces (canonical keys drive which orbit representative the
-// BFS visits, so byte-identical keys mean the same counterexample run).
-TEST(IncrementalCanon, CounterexampleByteParity) {
-  for (const RegisteredProtocol& entry : protocol_registry()) {
-    if (!entry.sc_violating) continue;
-    const auto proto = entry.make();
-    McOptions inc;
-    inc.max_states = 100'000;
-    inc.record_counterexample = true;
-    inc.incremental_canonicalization = true;
-    McOptions ref = inc;
-    ref.incremental_canonicalization = false;
-    const McResult rinc = model_check(*proto, inc);
-    const McResult rref = model_check(*proto, ref);
-    ASSERT_EQ(rinc.verdict, McVerdict::Violation) << entry.id;
-    ASSERT_EQ(rref.verdict, McVerdict::Violation) << entry.id;
-    EXPECT_EQ(rinc.counterexample.size(), rref.counterexample.size())
-        << entry.id << ": counterexample depth diverges";
-    ASSERT_TRUE(rinc.counterexample_trace.has_value()) << entry.id;
-    ASSERT_TRUE(rref.counterexample_trace.has_value()) << entry.id;
-    ByteWriter wi;
-    ByteWriter wr;
-    serialize_run_trace(*rinc.counterexample_trace, wi);
-    serialize_run_trace(*rref.counterexample_trace, wr);
-    EXPECT_EQ(wi.data(), wr.data())
-        << entry.id << ": recorded counterexamples not byte-identical";
   }
 }
 
@@ -215,26 +226,27 @@ class EmptyStateProtocol final : public Protocol {
   Params params_;
 };
 
-TEST(IncrementalCanon, EmptyKeyOrbitIsExactInBothModes) {
+TEST(IncrementalCanon, EmptyKeyOrbitIsExact) {
   const EmptyStateProtocol proto;
-  for (const bool incremental : {true, false}) {
-    ProcCanonicalizer canon(proto, /*enable=*/true, incremental);
-    ASSERT_TRUE(canon.active());
-    Product prod(proto, ObserverConfig{}, /*with_observer=*/false);
-    KeyScratch ks;
-    ProcPerm applied;
-    // The state is fixed by every permutation: stabilizer order 2!, orbit
-    // size exactly 1.  (The sentinel bug reported 2.)
-    EXPECT_EQ(canon.canonicalize_key(prod, ks, &applied), 1u)
-        << "incremental=" << incremental;
-    EXPECT_TRUE(ks.w.data().empty());
-    EXPECT_TRUE(applied.is_identity());
-    // Same through the all-clean fast path: an empty dirty mask against a
-    // fresh epoch exercises the cached-signature branches end to end.
-    canon.begin_base();
-    EXPECT_EQ(canon.canonicalize_key(prod, ks, nullptr, 0), 1u);
-    EXPECT_EQ(canon.canonicalize_key(prod, ks, nullptr, 0), 1u);
-  }
+  ProcCanonicalizer canon(proto, /*enable=*/true);
+  ASSERT_TRUE(canon.active());
+  Product prod(proto, ObserverConfig{}, /*with_observer=*/false);
+  Product ref_prod(proto, ObserverConfig{}, /*with_observer=*/false);
+  const OracleKey ref = reference_canonical_key(ref_prod);
+  // The state is fixed by every permutation: stabilizer order 2!, orbit
+  // size exactly 1.  (The sentinel bug reported 2.)
+  EXPECT_EQ(ref.orbit, 1u);
+  KeyScratch ks;
+  ProcPerm applied;
+  EXPECT_EQ(canon.canonicalize_key(prod, ks, &applied), ref.orbit);
+  EXPECT_EQ(ks.w.data(), ref.key);
+  EXPECT_TRUE(ks.w.data().empty());
+  EXPECT_TRUE(applied.is_identity());
+  // Same through the all-clean fast path: an empty dirty mask against a
+  // fresh epoch exercises the cached-signature branches end to end.
+  canon.begin_base();
+  EXPECT_EQ(canon.canonicalize_key(prod, ks, nullptr, 0), ref.orbit);
+  EXPECT_EQ(canon.canonicalize_key(prod, ks, nullptr, 0), ref.orbit);
 }
 
 }  // namespace

@@ -98,15 +98,23 @@ bool errors_only_from(const LintReport& r, LintRule rule) {
 }
 
 TEST(Lint, CleanPassOverAllBundledProtocols) {
+  // Under every axis model: R3's static bound and the pool a run under that
+  // model allocates come from one formula, so neither may warn.
   for (const RegisteredProtocol& entry : protocol_registry()) {
     const auto proto = entry.make();
-    const LintReport report = lint_protocol(*proto);
-    EXPECT_FALSE(report.has_errors()) << entry.id << "\n" << report.format();
-    EXPECT_EQ(report.count(LintSeverity::Warning), 0u)
-        << entry.id << "\n"
-        << report.format();
-    EXPECT_GT(report.stats.transitions_checked, 0u) << entry.id;
-    EXPECT_GT(report.stats.prefixes_walked, 0u) << entry.id;
+    for (const NamedModel& nm : memory_model_axis()) {
+      LintOptions opt;
+      opt.observer.model = nm.model;
+      const LintReport report = lint_protocol(*proto, opt);
+      EXPECT_FALSE(report.has_errors())
+          << entry.id << " under " << nm.name << "\n"
+          << report.format();
+      EXPECT_EQ(report.count(LintSeverity::Warning), 0u)
+          << entry.id << " under " << nm.name << "\n"
+          << report.format();
+      EXPECT_GT(report.stats.transitions_checked, 0u) << entry.id;
+      EXPECT_GT(report.stats.prefixes_walked, 0u) << entry.id;
+    }
   }
 }
 
@@ -284,18 +292,6 @@ TEST(Lint, ExhaustiveModeGivesDefiniteVerdicts) {
   sampled.mode = LintOptions::Mode::Sampled;
   const LintReport sreport = lint_protocol(proto, sampled);
   EXPECT_FALSE(sreport.stats.exhaustive);
-}
-
-TEST(Lint, DeprecatedSamplingKnobsDrawNoteInExhaustiveMode) {
-  MsiBus proto(2, 2, 2);
-  LintOptions opt;
-  opt.max_states = 512;  // legacy sampling cap, ignored by exhaustive mode
-  const LintReport report = lint_protocol(proto, opt);
-  EXPECT_TRUE(has_finding(report, LintRule::R1_TrackingLabels,
-                          LintSeverity::Note, "deprecated"))
-      << report.format();
-  // The skeleton must NOT have been capped at the legacy knob.
-  EXPECT_GT(report.stats.states_sampled, 512u);
 }
 
 /// R4 stub: claims to observe but scribbles on the protocol state.

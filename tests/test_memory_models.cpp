@@ -21,7 +21,7 @@ namespace {
 
 McResult verify_coherence(const Protocol& proto) {
   McOptions opt;
-  opt.observer.coherence_only = true;
+  opt.observer.model = MemoryModel::coherence();
   return verify_sc(proto, opt);
 }
 
@@ -117,7 +117,7 @@ TEST(DrainOrder, ReportsDeferredGeneratorFlag) {
 // ------------------------------------------------- checker-level checks
 
 TEST(CoherencePo, CrossBlockPoEdgeRejected) {
-  ScCheckerConfig cfg{8, 2, 2, 1, /*coherence_po=*/true};
+  ScCheckerConfig cfg{8, 2, 2, 1, MemoryModel::coherence()};
   ScChecker c(cfg);
   ASSERT_EQ(c.feed(NodeDesc{1, make_store(0, 0, 1)}), ScChecker::Status::Ok);
   ASSERT_EQ(c.feed(NodeDesc{2, make_store(0, 1, 1)}), ScChecker::Status::Ok);
@@ -127,7 +127,7 @@ TEST(CoherencePo, CrossBlockPoEdgeRejected) {
 }
 
 TEST(CoherencePo, SameBlockChainAccepted) {
-  ScCheckerConfig cfg{8, 2, 2, 1, true};
+  ScCheckerConfig cfg{8, 2, 2, 1, MemoryModel::coherence()};
   ScChecker c(cfg);
   ASSERT_EQ(c.feed(NodeDesc{1, make_store(0, 0, 1)}), ScChecker::Status::Ok);
   // An interleaved op on another block opens its own chain with no edge
@@ -140,7 +140,7 @@ TEST(CoherencePo, SameBlockChainAccepted) {
 TEST(CoherencePo, ObserverEmitsPerChainEdges) {
   SerialMemory proto(1, 2, 1);
   ObserverConfig cfg;
-  cfg.coherence_only = true;
+  cfg.model = MemoryModel::coherence();
   Observer obs(proto, cfg);
   std::vector<std::uint8_t> state(proto.state_size());
   proto.initial_state(state);
@@ -198,15 +198,23 @@ TEST(Tso, ForwardingBufferStillViolatesTso) {
             McVerdict::Verified);
 }
 
-TEST(Tso, StoreChainWidensTheDefaultPool) {
-  // R3/R4 and the observer must agree on the pool a TSO run uses: the
-  // store chain keeps one extra tail per processor alive.
+TEST(Tso, ChainTailsWidenTheDefaultPool) {
+  // R3/R4 and the observer must agree on the pool a run under each model
+  // uses: the TSO store chain keeps one extra tail per processor alive, and
+  // coherence's per-(processor, block) chains keep p·b tails instead of p.
   const WriteBuffer proto(2, 2, 2, 1, false);
+  const auto& pr = proto.params();
   const std::size_t sc_pool = Observer::default_pool_size(proto);
-  const std::size_t tso_pool =
-      Observer::default_pool_size(proto, MemoryModel::tso());
-  EXPECT_EQ(tso_pool, sc_pool + proto.params().procs);
+  EXPECT_EQ(Observer::default_pool_size(proto, MemoryModel::tso()),
+            sc_pool + pr.procs);
+  EXPECT_EQ(Observer::default_pool_size(proto, MemoryModel::coherence()),
+            sc_pool + pr.procs * (pr.blocks - 1));
   EXPECT_EQ(Observer::default_pool_size(proto, MemoryModel{}), sc_pool);
+  for (const NamedModel& nm : memory_model_axis()) {
+    EXPECT_EQ(Observer::default_pool_size(proto, nm.model),
+              Observer::active_node_bound(proto, nm.model))
+        << nm.name << ": the bound fits, so the pool is not clamped";
+  }
 }
 
 // ------------------------------------------------ registry × model matrix

@@ -102,7 +102,7 @@ void reachable_keys(const Protocol& proto, bool reduced, std::size_t max_depth,
   const ObserverConfig ocfg;
   Product cur(proto, ocfg, /*with_observer=*/true);
   Product succ(proto, ocfg, /*with_observer=*/true);
-  ProcCanonicalizer canon(proto, /*enable=*/false, /*incremental=*/false);
+  ProcCanonicalizer canon(proto, /*enable=*/false);
   AmpleSelector ample(proto, reduced);
   KeyScratch ks;
 

@@ -22,7 +22,7 @@ namespace {
 RunTrace sample_trace() {
   RunTrace t;
   t.protocol = "SampleProto";
-  t.checker = ScCheckerConfig{8, 2, 2, 2, false};
+  t.checker = ScCheckerConfig{8, 2, 2, 2};
   t.verdict = RunVerdict::Violation;
   t.reason = "edge closes a cycle";
   RunStep s1;
@@ -142,8 +142,8 @@ TEST(RunTraceFormat, RejectsAbsurdCounts) {
 
 // Version 1 predates the model axis: its header stops at the coherence
 // byte and there is no model tag on the wire.  Parsing stays total over
-// the old format, with the model defaulting to SC (the only model v1
-// runs could have checked; the coherence alias byte still applies).
+// the old format, with the model defaulting to SC — or coherence when the
+// legacy coherence byte is set, v1's only model knob.
 TEST(RunTraceFormat, ParsesVersion1FilesWithoutModelTag) {
   ByteWriter w;
   w.bytes(std::array<std::uint8_t, 4>{'S', 'C', 'V', 'R'});
@@ -156,7 +156,7 @@ TEST(RunTraceFormat, ParsesVersion1FilesWithoutModelTag) {
   w.u8(2);    // procs
   w.u8(1);    // blocks
   w.u8(1);    // values
-  w.u8(1);    // coherence_po alias set — v1's only model knob
+  w.u8(1);    // legacy coherence byte set
   w.u8(0);    // verdict: Accepted
   w.uvar(0);  // reason ""
   w.uvar(0);  // no steps
@@ -164,9 +164,7 @@ TEST(RunTraceFormat, ParsesVersion1FilesWithoutModelTag) {
   std::string error;
   ASSERT_TRUE(parse_run_trace(w.data(), parsed, error)) << error;
   EXPECT_EQ(parsed.protocol, proto);
-  EXPECT_EQ(parsed.checker.model, MemoryModel{});  // defaults to sc
-  EXPECT_TRUE(parsed.checker.coherence_po);
-  EXPECT_EQ(parsed.checker.effective_model().kind, ModelKind::Coherence);
+  EXPECT_EQ(parsed.checker.model, MemoryModel::coherence());
   EXPECT_EQ(parsed.verdict, RunVerdict::Accepted);
 
   // Truncating the v1 stream anywhere still fails cleanly.
@@ -214,6 +212,104 @@ TEST(RunTraceFormat, RejectsUnknownModelTag) {
   std::string error;
   EXPECT_FALSE(parse_run_trace(w.data(), out, error));
   EXPECT_NE(error.find("memory-model"), std::string::npos);
+}
+
+// ------------------------------------------------ legacy coherence byte
+//
+// Writers that predate the model tag's coherence value asked for
+// per-location SC through a header byte.  The parser folds a set byte into
+// MemoryModel::coherence() — on top of plain sc or a redundant coherence
+// tag — and nothing past the header ever sees it.
+
+/// `t` serialized the way an old writer did: legacy coherence byte set,
+/// plus the model tag `tag` from version 2 on.
+std::vector<std::uint8_t> legacy_trace_bytes(const RunTrace& t,
+                                             std::uint16_t version,
+                                             const std::string& tag) {
+  ByteWriter w;
+  const auto str = [&](const std::string& s) {
+    w.uvar(s.size());
+    w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  };
+  w.bytes(std::array<std::uint8_t, 4>{'S', 'C', 'V', 'R'});
+  w.u16(version);
+  str(t.protocol);
+  w.uvar(t.checker.k);
+  w.u8(static_cast<std::uint8_t>(t.checker.procs));
+  w.u8(static_cast<std::uint8_t>(t.checker.blocks));
+  w.u8(static_cast<std::uint8_t>(t.checker.values));
+  w.u8(1);  // legacy coherence byte
+  if (version >= 2) str(tag);
+  w.u8(static_cast<std::uint8_t>(t.verdict));
+  str(t.reason);
+  w.uvar(t.steps.size());
+  for (const RunStep& s : t.steps) write_trace_step(s, w);
+  return w.data();
+}
+
+TEST(RunTraceFormat, LegacyCoherenceByteParsesAsCoherence) {
+  const RunTrace t = sample_trace();
+  const std::pair<std::uint16_t, std::string> headers[] = {
+      {1, ""}, {2, "sc"}, {2, "coherence"}};
+  for (const auto& [version, tag] : headers) {
+    RunTrace parsed;
+    std::string error;
+    ASSERT_TRUE(parse_run_trace(legacy_trace_bytes(t, version, tag), parsed,
+                                error))
+        << "v" << version << " '" << tag << "': " << error;
+    EXPECT_EQ(parsed.checker.model, MemoryModel::coherence())
+        << "v" << version << " '" << tag << "'";
+    EXPECT_EQ(parsed.steps, t.steps);
+  }
+}
+
+TEST(RunTraceFormat, LegacyCoherenceByteConflictsWithTsoAndPreemption) {
+  const RunTrace t = sample_trace();
+  for (const std::string tag : {"tso", "sc+bp3"}) {
+    RunTrace parsed;
+    std::string error;
+    EXPECT_FALSE(parse_run_trace(legacy_trace_bytes(t, 2, tag), parsed, error))
+        << tag;
+    EXPECT_NE(error.find("legacy coherence byte conflicts"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("'" + tag + "'"), std::string::npos) << error;
+  }
+}
+
+TEST(RunTraceFormat, ReserializedLegacyTraceCarriesTheModelTag) {
+  // A coherence walk over two blocks: its stream owes no cross-block
+  // program-order edges, so it re-checks clean only under coherence — the
+  // legacy byte must survive parsing for the verdict to hold.
+  const SerialMemory proto(2, 2, 2);
+  RecordWalkOptions ropt;
+  ropt.observer.model = MemoryModel::coherence();
+  const RunTrace recorded = record_walk(proto, ropt);
+  ASSERT_EQ(recorded.verdict, RunVerdict::Accepted);
+  RunTrace as_sc = recorded;
+  as_sc.checker.model = MemoryModel::sc();
+  ASSERT_FALSE(check_trace(as_sc).accepted);
+
+  RunTrace legacy;
+  std::string error;
+  ASSERT_TRUE(
+      parse_run_trace(legacy_trace_bytes(recorded, 1, ""), legacy, error))
+      << error;
+  const TraceCheckResult legacy_check = check_trace(legacy);
+  ASSERT_TRUE(legacy_check.ok) << legacy_check.error;
+  EXPECT_TRUE(legacy_check.accepted) << legacy_check.reject_reason;
+
+  // Reserializing writes byte 0 and the coherence tag: exactly the bytes
+  // a current writer produces for the same run.
+  ByteWriter again;
+  serialize_run_trace(legacy, again);
+  ByteWriter current;
+  serialize_run_trace(recorded, current);
+  EXPECT_EQ(again.data(), current.data());
+  RunTrace reparsed;
+  ASSERT_TRUE(parse_run_trace(again.data(), reparsed, error)) << error;
+  EXPECT_EQ(reparsed, legacy);
+  EXPECT_EQ(check_trace(reparsed).accepted, legacy_check.accepted);
 }
 
 // ---------------------------------------------------------------- sinks
@@ -416,7 +512,8 @@ TEST(SymbolStatsOption, ModelCheckAggregatesStreamCounts) {
 TEST(CheckerConfig, InvalidReasonPinpointsTheField) {
   EXPECT_TRUE(ScCheckerConfig{}.invalid_reason().empty());
   EXPECT_TRUE(
-      (ScCheckerConfig{kMaxBandwidth, kMaxProcs, kMaxBlocks, 255, true})
+      (ScCheckerConfig{kMaxBandwidth, kMaxProcs, kMaxBlocks, 255,
+                       MemoryModel::coherence()})
           .invalid_reason()
           .empty());
 
@@ -459,31 +556,18 @@ TEST(CheckerConfig, InvalidReasonRejectsInconsistentModelCombinations) {
   c.model = MemoryModel::coherence();
   c.model.preemption_bound = 0;
   EXPECT_NE(c.invalid_reason().find("preemption"), std::string::npos);
-
-  // The deprecated coherence_po alias may not contradict an explicit model.
-  c = ScCheckerConfig{};
-  c.coherence_po = true;
-  EXPECT_TRUE(c.invalid_reason().empty());  // alias alone stays valid
-  c.model = MemoryModel::tso();
-  EXPECT_NE(c.invalid_reason().find("coherence_po"), std::string::npos);
-  c.model = MemoryModel::bounded_sc(3);
-  EXPECT_NE(c.invalid_reason().find("coherence_po"), std::string::npos);
-  // Alias on an explicit coherence model is redundant, not contradictory.
-  c.model = MemoryModel::coherence();
-  EXPECT_TRUE(c.invalid_reason().empty());
-  EXPECT_EQ(c.effective_model().kind, ModelKind::Coherence);
 }
 
 using CheckerConfigDeathTest = ::testing::Test;
 
 TEST(CheckerConfigDeathTest, ConstructorAbortsOnOutOfRangeConfig) {
-  EXPECT_DEATH(ScChecker(ScCheckerConfig{0, 2, 1, 1, false}),
+  EXPECT_DEATH(ScChecker(ScCheckerConfig{0, 2, 1, 1}),
                "invalid ScCheckerConfig");
-  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, kMaxProcs + 1, 1, 1, false}),
+  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, kMaxProcs + 1, 1, 1}),
                "invalid ScCheckerConfig");
-  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, 2, kMaxBlocks + 1, 1, false}),
+  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, 2, kMaxBlocks + 1, 1}),
                "invalid ScCheckerConfig");
-  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, 2, 1, 0, false}),
+  EXPECT_DEATH(ScChecker(ScCheckerConfig{8, 2, 1, 0}),
                "invalid ScCheckerConfig");
 }
 
@@ -492,11 +576,6 @@ TEST(CheckerConfigDeathTest, ConstructorAbortsOnInconsistentModelCombo) {
   tso_bp.model = MemoryModel::tso();
   tso_bp.model.preemption_bound = 1;
   EXPECT_DEATH(ScChecker{tso_bp}, "invalid ScCheckerConfig");
-
-  ScCheckerConfig alias_vs_model{};
-  alias_vs_model.coherence_po = true;
-  alias_vs_model.model = MemoryModel::tso();
-  EXPECT_DEATH(ScChecker{alias_vs_model}, "invalid ScCheckerConfig");
 }
 
 }  // namespace

@@ -94,13 +94,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     scv::RunTrace& trace = reader.header();
-    if (model_override) {
-      // The override replaces the whole model axis, including the
-      // deprecated coherence alias byte — "--model sc" on a coherence-
-      // recorded trace means full SC, not silently coherence again.
-      trace.checker.coherence_po = false;
-      trace.checker.model = model;
-    }
+    if (model_override) trace.checker.model = model;
     const scv::TraceCheckResult r = scv::check_trace_stream(reader);
     if (!r.ok) {
       std::fprintf(stderr, "scv_check: %s: %s\n", path.c_str(),
