@@ -8,16 +8,17 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/footprint_infer.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/skeleton.hpp"
 #include "checker/sc_checker.hpp"
 #include "descriptor/descriptor.hpp"
+#include "mc/level_order.hpp"
 #include "mc/por.hpp"
 #include "mc/product.hpp"
 #include "util/assert.hpp"
@@ -719,6 +720,39 @@ bool product_por_ok(const Protocol& proto, const McOptions& opt,
 /// product steps, so the cadence keeps the overhead in the low percent.
 constexpr std::uint64_t kPorSampleEvery = 4096;
 
+/// A failing transition a worker met.  A worker's ranks only increase
+/// within a phase and it stops at its first failure, so this is also the
+/// lowest-ranked failure that worker saw.
+struct Failure {
+  Rank rank = kNoRank;
+  std::size_t item = 0;  ///< the failing entry's position in the work list
+  StepOutcome outcome = StepOutcome::Ok;
+  std::uint32_t parent = 0;
+  Transition via{};
+  /// The entry's transitions up to and including the failing one.
+  std::uint64_t expanded = 0;
+};
+
+constexpr std::size_t kNoItem = ~std::size_t{0};
+
+/// What one work-list item contributed, kept per phase so that a run
+/// stopping at a failure counts exactly the items ranked before it.
+struct ItemStat {
+  enum Kind : std::uint8_t { kUnfinished, kFull, kAmple, kProviso };
+  /// Transitions stepped (partial for the entry that hit the state limit).
+  std::uint32_t expanded = 0;
+  std::uint32_t deferred = 0;  ///< kAmple: enabled transitions not expanded
+  Kind kind = kUnfinished;     ///< kProviso: reduced, decided by C3
+};
+
+/// The cycle proviso's verdict on one reduced entry whose ample successors
+/// included a duplicate.
+struct ProvisoDecision {
+  std::uint32_t gi = 0;
+  std::uint32_t deferred = 0;
+  bool keep = false;  ///< the reduction stands; otherwise a fallback
+};
+
 // The exploration engine — one level-synchronized BFS for every thread
 // count, driving the uniform Product through the compact frontier:
 //
@@ -728,36 +762,50 @@ constexpr std::uint64_t kPorSampleEvery = 4096;
 //     per-worker scratch, fingerprinted, and only *fresh* states are
 //     serialized into the worker's next-level batch (duplicates, the
 //     majority, allocate nothing);
-//   * a compact frontier — levels live as flat serialized buffers; the
-//     product is rebuilt on expansion via the component snapshot loop;
+//   * a compact frontier — levels live as flat serialized buffers, read
+//     through a rank-ordered index; the product is rebuilt on expansion via
+//     the component snapshot loop;
 //   * a chunked MetaArena indexed by the atomic state counter.
 //
-// `threads == 1` runs the identical code inline on the calling thread (the
-// pool spawns no workers), so sequential/parallel parity — same BFS depth,
-// same state set, shortest counterexamples — holds because it is literally
-// the same engine, not a maintained invariant between two.
+// Rank order (DESIGN.md §11): every successor has a rank (phase, gi, ti),
+// see mc/level_order.hpp.  One worker (`threads == 1` runs inline on the
+// calling thread) claims states in rank order.  Several workers reproduce
+// that order by construction, so a run reports the same verdict, counts and
+// counterexample at every thread count:
 //
-// Failure determinism: with several workers, *which* failing transition is
-// captured first is a race, which would make the reported counterexample
-// (and any recorded run trace) vary run to run.  On a failure verdict the
-// multi-worker run therefore discards its partial result and delegates to
-// a single-worker re-run, whose deterministic expansion order yields the
-// canonical counterexample — still depth-minimal, since level synchrony
-// means no failure exists below the failing level.  Failures are the cold
-// path; re-exploring for a deterministic artifact is the right trade
-// (DESIGN.md §11).
+//   * each state's Meta (parent, via) comes from its minimum-rank
+//     discoverer — the level barrier resolves the workers' claim and
+//     duplicate logs and rewrites Meta where another worker's claim won the
+//     race;
+//   * the next frontier is ordered by that rank (an index array over the
+//     workers' batches; snapshots are not copied);
+//   * the reported failure is the minimum-rank failing transition: workers
+//     keep expanding every entry ranked below the lowest failure seen so
+//     far, stop past it, and the result counts only the work ranked before
+//     it.  Level synchrony keeps the counterexample depth-minimal.
+//
+// A level runs in two phases on all workers: the main expansion, then the
+// cycle-proviso (C3) fallbacks it decided at the barrier.  A level where a
+// failure and the state budget both trip is the one case re-explored on a
+// single worker (see `settle`).
 //
 // When the fingerprint table fills mid-level, workers abort at entry
 // granularity (their resume cursor stays on the unfinished entry), the
 // table grows single-threaded at the barrier, and expansion resumes:
 // re-expanding the interrupted entry is safe because its already-claimed
-// successors were batched immediately and now dedup to Duplicate, and its
-// transition count is only committed once the entry completes.
+// successors were batched immediately and now dedup to Duplicate, its
+// transition count is only committed once the entry completes, and it
+// repeats its ranks exactly.
 McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
                  const PorOracle& oracle) {
   const std::size_t nworkers = opt.threads;
   McResult result;
   const auto t0 = std::chrono::steady_clock::now();
+  const auto elapsed = [&t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
   // One worker needs no OS threads: the pool runs the task inline.
   ThreadPool pool(nworkers == 1 ? 0 : nworkers, opt.pin_threads);
   const bool product = !opt.protocol_only;
@@ -771,29 +819,26 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   // relative to the observer/checker pipeline, which protocol_only drops.
   const bool por = opt.partial_order_reduction && product && !preempt &&
                    AmpleSelector(proto, oracle, true).active();
+  // Several workers claim in racy order, so they log claims and store
+  // duplicates for the barrier to resolve.  One worker claims in rank order
+  // already; it logs claims only for the C3 level table.
+  const bool ranked = nworkers > 1;
+  const std::size_t nparts = nworkers;
 
   ConcurrentStateStore visited(opt.exact_states, presize_expected(opt));
   MetaArena meta;
 
-  std::atomic<std::uint64_t> transitions{0};
   std::atomic<std::size_t> states{1};  // the initial state
-  std::atomic<bool> failed{false};
+  std::uint64_t transitions_done = 0;  // committed at phase barriers
   std::atomic<bool> limit_hit{false};
   std::atomic<bool> table_full{false};
+  // Lowest failing rank met so far: workers skip everything ranked past it.
+  std::atomic<Rank> fail_rank{kNoRank};
 
-  std::mutex failure_mu;
-  StepOutcome failure_outcome = StepOutcome::Ok;
-  std::uint32_t failure_parent = 0;
-  Transition failure_via{};
-
-  // POR runtime-violation capture (sampled ample cross-validation) and the
-  // deterministic post-barrier proviso bookkeeping (see the C3 resolution
-  // block below).
+  // POR runtime-violation capture (sampled ample cross-validation).
   std::atomic<bool> por_violation{false};
   std::mutex por_mu;
   std::string por_violation_detail;
-  AmpleStats por_post;
-  std::vector<std::uint32_t> retries;
 
   Product init(proto, opt.observer, product);
   ProcCanonicalizer init_canon(proto, opt.symmetry_reduction && !preempt);
@@ -821,12 +866,15 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
 
   struct Worker {
     Worker(const Protocol& p, const ObserverConfig& c, bool prod,
-           GraphId null_id, bool sym, const PorOracle& orc, bool por_on)
+           GraphId null_id, bool sym, const PorOracle& orc, bool por_on,
+           std::size_t parts)
         : cur(p, c, prod),
           succ(p, c, prod),
           stats(null_id),
           canon(p, sym),
-          ample(p, orc, por_on) {}
+          ample(p, orc, por_on),
+          claims(parts),
+          offers(parts) {}
     Product cur;   ///< entry being expanded (restored from the frontier)
     Product succ;  ///< successor scratch, reused across transitions
     std::uint32_t cur_idx = 0;
@@ -854,35 +902,35 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_lookups = 0;
     // Ample-set POR state: the per-worker selector (carries scratch), the
-    // current entry's ample member indices, local stats, the set of
-    // fingerprints this worker discovered fresh at the current level
-    // (presence is reliable; absence says nothing about other workers —
-    // hence proviso_retry), the entries whose C3 status needs the
-    // post-barrier resolution, and scratch products for the sampled ample
+    // current entry's ample member indices, the reduced entries with a
+    // duplicate ample successor (the barrier's C3 step decides them) and
+    // those duplicates' fingerprints, this worker's share of the C3
+    // decisions, and scratch products for the sampled ample
     // cross-validation (allocated only when the self-check is on).
     AmpleSelector ample;
     std::vector<std::uint32_t> ample_idx;
-    AmpleStats por_stats;
-    struct FpHash {
-      std::size_t operator()(const Fingerprint& f) const noexcept {
-        return static_cast<std::size_t>(
-            f.lo ^ (f.hi * 0x9e3779b97f4a7c15ULL));
-      }
+    struct ProvisoEntry {
+      std::uint32_t gi = 0;
+      std::uint32_t fps_end = 0;  ///< end of its run in proviso_fps
     };
-    std::unordered_set<Fingerprint, FpHash> level_fresh_set;
-    /// Worker 0 only: fallback-discovered fresh states of the current
-    /// level, for the post-barrier proviso resolution.
-    std::unordered_set<Fingerprint, FpHash> level_fresh_overflow;
-    std::vector<std::uint32_t> proviso_retry;
+    std::vector<ProvisoEntry> proviso;
+    std::vector<Fingerprint> proviso_fps;
+    std::vector<ProvisoDecision> decisions;
     std::uint64_t reduced_seen = 0;
     std::unique_ptr<Product> chk_a;
     std::unique_ptr<Product> chk_b;
     KeyScratch chk_key;
     std::vector<Transition> chk_trans;
-    FrontierBatch out;        ///< next-level entries this worker found
-    // Resume cursors into the worker's claimed chunk of the global
-    // frontier; chunk_next stays on the unfinished entry across grow
-    // barriers, the shared claim cursor hands out fresh chunks.
+    FrontierBatch out;  ///< next-level entries this worker claimed
+    // Rank logs of the running phase, one vector per partition.
+    std::vector<std::vector<RankClaim>> claims;
+    std::vector<std::vector<RankOffer>> offers;
+    Failure failure;
+    /// Work-list item whose claim reached the state budget, if any.
+    std::size_t limit_item = kNoItem;
+    // Resume cursors into the worker's claimed chunk of the work list;
+    // chunk_next stays on the unfinished entry across grow barriers, the
+    // shared claim cursor hands out fresh chunks.
     std::size_t chunk_next = 0;
     std::size_t chunk_end = 0;
     std::size_t peak_live = 0;
@@ -894,8 +942,9 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(nworkers);
   for (std::size_t w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<Worker>(
-        proto, opt.observer, product, stats_null_id, symmetry, oracle, por));
+    workers.push_back(std::make_unique<Worker>(proto, opt.observer, product,
+                                               stats_null_id, symmetry,
+                                               oracle, por, nparts));
     if (opt.symbol_stats && product) {
       workers.back()->succ.add_sink(&workers.back()->stats);
     }
@@ -942,10 +991,6 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
 
   const auto merge_worker_stats = [&] {
     result.por_active = por;
-    result.por_ample_states = por_post.ample_states;
-    result.por_full_states = por_post.full_states;
-    result.por_proviso_fallbacks = por_post.proviso_fallbacks;
-    result.por_deferred_transitions = por_post.deferred_transitions;
     for (const auto& ws : workers) {
       result.peak_live_nodes = std::max(result.peak_live_nodes, ws->peak_live);
       if (opt.symbol_stats) result.symbol_stats.merge(ws->stats.stats());
@@ -953,10 +998,6 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
       result.phase_times.canonicalize += ws->t_canon;
       result.phase_times.dedup += ws->t_dedup;
       result.phase_times.materialize += ws->t_mat;
-      result.por_ample_states += ws->por_stats.ample_states;
-      result.por_full_states += ws->por_stats.full_states;
-      result.por_proviso_fallbacks += ws->por_stats.proviso_fallbacks;
-      result.por_deferred_transitions += ws->por_stats.deferred_transitions;
       result.dup_cache_hits += ws->cache_hits;
       result.dup_cache_lookups += ws->cache_lookups;
       result.preemption_pruned += ws->preempt_pruned;
@@ -971,8 +1012,9 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
   };
 
   const auto finish = [&](McVerdict v) {
+    merge_worker_stats();
     result.verdict = v;
-    result.transitions = transitions.load();
+    result.transitions = transitions_done;
     // Under a state limit the counter may overshoot (several workers can
     // claim fresh states concurrently before the flag propagates); clamp
     // to the budget.  max(·, 2) covers the degenerate max_states <= 1
@@ -983,248 +1025,364 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
                         ? std::max(opt.max_states, std::size_t{2})
                         : n;
     fill_store_stats(result, visited);
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.seconds = elapsed();
     return result;
   };
 
+  // The level's frontier: the workers' batches of the previous level, read
+  // in rank order through `order` (packed worker << 32 | position).  An
+  // empty order is the identity over batch 0 — the initial level, and every
+  // level of a one-worker run, whose single batch is already in rank order.
   std::vector<FrontierBatch> frontier(nworkers);
+  std::vector<std::uint64_t> order;
+  std::vector<std::uint64_t> next_order;
+  const auto entry = [&](std::size_t gi) {
+    const std::uint64_t ref = order.empty() ? gi : order[gi];
+    return frontier[ref >> 32].entry(static_cast<std::uint32_t>(ref));
+  };
   append_entry(0, init, frontier[0], preempt ? &init_ps : nullptr);
   std::size_t frontier_entries = 1;
-  std::vector<std::size_t> prefix(nworkers + 1, 0);
 
-  while (frontier_entries > 0) {
-    if (result.depth >= opt.max_depth) {
-      merge_worker_stats();
-      return finish(McVerdict::StateLimit);
-    }
-    const auto lt0 = std::chrono::steady_clock::now();
-    const std::size_t states_before = states.load();
+  // The running phase's work list: phase 0 expands frontier positions
+  // 0..items-1, phase 1 (the C3 fallbacks) the positions in `fallbacks`.
+  unsigned phase = 0;
+  bool logging = false;
+  std::size_t items = 0;
+  std::vector<std::uint32_t> fallbacks;
+  std::vector<ItemStat> item_stats;
+  std::vector<ProvisoDecision> decisions;  ///< the level's, ascending gi
+  std::array<std::vector<LevelShard>, 2> shards{
+      std::vector<LevelShard>(nparts), std::vector<LevelShard>(nparts)};
 
-    prefix[0] = 0;
-    for (std::size_t b = 0; b < frontier.size(); ++b) {
-      prefix[b + 1] = prefix[b] + frontier[b].size();
-    }
-    const std::size_t total = prefix.back();
-    SCV_ASSERT(total == frontier_entries);
-    std::size_t cur_bytes = 0;
-    for (const FrontierBatch& b : frontier) cur_bytes += b.bytes.size();
+  // Chunked work claiming: workers grab contiguous runs of work-list items
+  // from a shared cursor instead of a fixed stride, so a worker stuck on
+  // expensive entries does not leave its whole stride stranded while
+  // others idle at the level barrier.  Chunks are contiguous for batch
+  // locality, sized so each worker sees ~8 claims per phase (caps tail
+  // imbalance at ~1/8 of a worker's share) but at most 64 entries (bounds
+  // the tail chunk's latency).  The cursor outlives the grow barrier on
+  // purpose: resumed workers finish their claimed chunk first, then claim
+  // fresh ones.  Each worker's claims — and so its ranks — only increase.
+  std::atomic<std::size_t> claim{0};
+  std::size_t chunk_sz = 1;
 
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      workers[w]->out.clear();
-      workers[w]->chunk_next = 0;
-      workers[w]->chunk_end = 0;
-      workers[w]->level_fresh_set.clear();
-      workers[w]->proviso_retry.clear();
-    }
-
-    // Chunked work claiming: workers grab contiguous runs of frontier
-    // entries from a shared cursor instead of a fixed stride, so a worker
-    // stuck on expensive entries does not leave its whole stride stranded
-    // while others idle at the level barrier.  Chunks are contiguous for
-    // batch locality, sized so each worker sees ~8 claims per level (caps
-    // tail imbalance at ~1/8 of a worker's share) but at most 64 entries
-    // (bounds the tail chunk's latency).  The cursor outlives the grow
-    // barrier on purpose: resumed workers finish their claimed chunk first,
-    // then claim fresh ones.  With one worker chunks are claimed in order,
-    // so expansion order — and thus counterexample choice — is exactly the
-    // sequential engine's.
-    std::atomic<std::size_t> claim{0};
-    const std::size_t chunk_sz =
-        std::clamp<std::size_t>(total / (nworkers * 8), 1, 64);
-
-    const auto expand_worker = [&](std::size_t w) {
-      Worker& ws = *workers[w];
-      std::size_t batch = 0;
-      // Phase boundary cursor: everything between two clock reads is charged
-      // to the phase that just ran (restore/enumerate/step -> expand,
-      // signature/canonical-key work -> canonicalize, fingerprint/visited
-      // insert -> dedup, meta/serialize -> materialize).  Early returns are
-      // cold paths and skip accounting.
-      auto mark = std::chrono::steady_clock::now();
-      const auto charge = [&mark](double& acc) {
-        const auto now = std::chrono::steady_clock::now();
-        acc += std::chrono::duration<double>(now - mark).count();
-        mark = now;
-      };
-      for (;;) {
-        if (ws.chunk_next >= ws.chunk_end) {
-          ws.chunk_next = claim.fetch_add(chunk_sz, std::memory_order_relaxed);
-          if (ws.chunk_next >= total) return;
-          ws.chunk_end = std::min(ws.chunk_next + chunk_sz, total);
-        }
-        if (failed.load(std::memory_order_relaxed) ||
-            limit_hit.load(std::memory_order_relaxed) ||
-            table_full.load(std::memory_order_relaxed) ||
-            por_violation.load(std::memory_order_relaxed)) {
-          return;  // entry boundary: nothing partial to roll back
-        }
-        const std::size_t gi = ws.chunk_next;
-        while (prefix[batch + 1] <= gi) ++batch;
-        ws.cur_idx =
-            restore_entry(frontier[batch].entry(gi - prefix[batch]), ws.cur,
-                          preempt ? &ws.ps : nullptr);
-        ws.transitions.clear();
-        ws.cur.enumerate(ws.transitions);
-        const bool reduced =
-            por && ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
-        if (reduced && opt.por_self_check &&
-            (ws.reduced_seen++ % kPorSampleEvery) == 0) {
-          std::string detail;
-          if (!ample_check_ok(ws, detail)) {
-            std::lock_guard lock(por_mu);
-            if (!por_violation.exchange(true)) {
-              por_violation_detail = std::move(detail);
-            }
-            return;
-          }
-        }
-        // New base state for the canonicalizer's per-processor signature
-        // cache; successor dirty masks below are relative to ws.cur.  After
-        // the self-check on purpose: the check canonicalizes unrelated
-        // states with a full dirty mask, which would poison the epoch.
-        ws.canon.begin_base();
-        std::uint64_t expanded = 0;
-        bool ample_dup_unproven = false;
-        const std::size_t ntrans =
-            reduced ? ws.ample_idx.size() : ws.transitions.size();
-        PreemptState nps = ws.ps;
-        for (std::size_t ti = 0; ti < ntrans; ++ti) {
-          const Transition& t =
-              ws.transitions[reduced ? ws.ample_idx[ti] : ti];
-          if (preempt) {
-            nps = ws.ps;
-            if (t.action.is_memory_op()) {
-              const std::uint8_t tp = t.action.op.proc;
-              if (nps.last != PreemptState::kNoLastProc && tp != nps.last) {
-                if (nps.budget == 0) {
-                  // Context-switch budget exhausted: the bound prunes this
-                  // scheduling.  Not counted as an explored transition.
-                  ++ws.preempt_pruned;
-                  continue;
-                }
-                --nps.budget;
-              }
-              nps.last = tp;
-            }
-          }
-          ++expanded;
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome outcome = ws.succ.step(t, ws.symbols);
-          if (outcome != StepOutcome::Ok) {
-            std::lock_guard lock(failure_mu);
-            if (!failed.exchange(true)) {
-              failure_outcome = outcome;
-              failure_parent = ws.cur_idx;
-              failure_via = t;
-            }
-            // The failing transition counts.
-            transitions.fetch_add(expanded, std::memory_order_relaxed);
-            return;
-          }
-          if (product) {
-            ws.peak_live = std::max(
-                ws.peak_live,
-                static_cast<std::size_t>(ws.succ.observer().peak_live_nodes()));
-          }
-          charge(ws.t_expand);
-          // succ = step(cur, t), so the step's touched mask doubles as the
-          // dirty mask relative to the begin_base() state.
-          const std::uint64_t orbit = ws.canon.canonicalize_key(
-              ws.succ, ws.key, nullptr, ws.succ.touched_procs());
-          if (preempt) {
-            ws.key.w.u8(nps.last);
-            ws.key.w.u32(nps.budget);
-          }
-          charge(ws.t_canon);
-          const auto key = ws.key.w.data();
-          const Fingerprint fp = fingerprint128(key);
-          // In fingerprint mode dedup is by fingerprint identity, so a hit
-          // in the worker-local cache IS a Duplicate verdict — same result
-          // the global probe would return, minus the cache miss.  Exact
-          // mode dedups by full key (two distinct keys may share a
-          // fingerprint), so a cache hit only nominates a shard slot; one
-          // byte-compare against it (confirm) certifies membership, and an
-          // alias falls back to the full probe.
-          ConcurrentStateStore::Insert ins;
-          Worker::CacheEntry& entry =
-              ws.dup_cache[fp.lo & (ws.dup_cache.size() - 1)];
-          ++ws.cache_lookups;
-          if (entry.fp == fp &&
-              (!opt.exact_states || visited.confirm(key, fp, entry.slot))) {
-            ++ws.cache_hits;
-            ins = ConcurrentStateStore::Insert::Duplicate;
-          } else {
-            const auto r = visited.insert(key, fp);
-            ins = r.verdict;
-            // Only states the store accepted are cached (a TableFull
-            // attempt inserted nothing).
-            if (ins != ConcurrentStateStore::Insert::TableFull) {
-              entry = {fp, r.slot};
-            }
-          }
-          charge(ws.t_dedup);
-          if (ins == ConcurrentStateStore::Insert::TableFull) {
-            // Abort at entry granularity *without* committing this entry's
-            // transition count: after the grow barrier the whole entry is
-            // re-expanded, its already-claimed successors dedup to
-            // Duplicate (they were batched the moment they were claimed),
-            // and the count is taken exactly once.
-            table_full.store(true, std::memory_order_release);
-            return;
-          }
-          if (ins == ConcurrentStateStore::Insert::Fresh) {
-            if (por) ws.level_fresh_set.insert(fp);
-            orbit_sum.fetch_add(orbit, std::memory_order_relaxed);
-            const std::size_t idx =
-                states.fetch_add(1, std::memory_order_relaxed);
-            Meta& m = meta.slot(idx);
-            m.parent = ws.cur_idx;
-            m.via = t;
-            append_entry(static_cast<std::uint32_t>(idx), ws.succ, ws.out,
-                         preempt ? &nps : nullptr);
-            charge(ws.t_mat);
-            if (idx + 1 >= opt.max_states) {
-              limit_hit.store(true, std::memory_order_relaxed);
-              transitions.fetch_add(expanded, std::memory_order_relaxed);
-              return;
-            }
-          } else if (reduced && !ws.level_fresh_set.contains(fp)) {
-            // Possible non-depth-increasing ample edge (C3): the duplicate
-            // may predate this level, closing a cycle inside the reduced
-            // graph.  The worker only knows its *own* fresh finds reliably,
-            // so it defers the decision to the deterministic post-barrier
-            // resolution instead of guessing across racy peers.
-            ample_dup_unproven = true;
-          }
-        }
-        transitions.fetch_add(expanded, std::memory_order_relaxed);
-        if (reduced) {
-          if (ample_dup_unproven) {
-            ws.proviso_retry.push_back(static_cast<std::uint32_t>(gi));
-          } else {
-            ++ws.por_stats.ample_states;
-            ws.por_stats.deferred_transitions +=
-                ws.transitions.size() - ws.ample_idx.size();
-          }
-        } else if (por) {
-          ++ws.por_stats.full_states;
-        }
-        ws.chunk_next = gi + 1;
-      }
+  const auto expand_worker = [&](std::size_t w) {
+    Worker& ws = *workers[w];
+    // Phase boundary cursor: everything between two clock reads is charged
+    // to the phase that just ran (restore/enumerate/step -> expand,
+    // signature/canonical-key work -> canonicalize, fingerprint/visited
+    // insert -> dedup, meta/serialize -> materialize).  Early returns are
+    // cold paths and skip accounting.
+    auto mark = std::chrono::steady_clock::now();
+    const auto charge = [&mark](double& acc) {
+      const auto now = std::chrono::steady_clock::now();
+      acc += std::chrono::duration<double>(now - mark).count();
+      mark = now;
     };
+    for (;;) {
+      if (ws.chunk_next >= ws.chunk_end) {
+        ws.chunk_next = claim.fetch_add(chunk_sz, std::memory_order_relaxed);
+        if (ws.chunk_next >= items) return;
+        ws.chunk_end = std::min(ws.chunk_next + chunk_sz, items);
+      }
+      if (limit_hit.load(std::memory_order_relaxed) ||
+          table_full.load(std::memory_order_relaxed) ||
+          por_violation.load(std::memory_order_relaxed)) {
+        return;  // entry boundary: nothing partial to roll back
+      }
+      const std::size_t k = ws.chunk_next;
+      const std::size_t gi = phase == 0 ? k : fallbacks[k];
+      // Everything this worker meets from here on ranks past the failure.
+      if (make_rank(phase, gi, 0) > fail_rank.load(std::memory_order_relaxed)) {
+        return;
+      }
+      ws.cur_idx = restore_entry(entry(gi), ws.cur, preempt ? &ws.ps : nullptr);
+      ws.transitions.clear();
+      ws.cur.enumerate(ws.transitions);
+      SCV_ASSERT(ws.transitions.size() <= (std::size_t{1} << kRankTiBits));
+      const bool reduced =
+          por && ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
+      // A fallback re-selects its ample set (selection is deterministic in
+      // the state bytes) and expands the deferred complement.
+      SCV_ASSERT(phase == 0 || reduced);
+      if (phase == 0 && reduced && opt.por_self_check &&
+          (ws.reduced_seen++ % kPorSampleEvery) == 0) {
+        std::string detail;
+        if (!ample_check_ok(ws, detail)) {
+          std::lock_guard lock(por_mu);
+          if (!por_violation.exchange(true)) {
+            por_violation_detail = std::move(detail);
+          }
+          return;
+        }
+      }
+      // New base state for the canonicalizer's per-processor signature
+      // cache; successor dirty masks below are relative to ws.cur.  After
+      // the self-check on purpose: the check canonicalizes unrelated
+      // states with a full dirty mask, which would poison the epoch.
+      ws.canon.begin_base();
+      std::uint64_t expanded = 0;
+      const bool ample_only = phase == 0 && reduced;
+      const std::size_t fps_begin = ws.proviso_fps.size();
+      const std::size_t ntrans =
+          ample_only ? ws.ample_idx.size() : ws.transitions.size();
+      std::size_t member = 0;  // next ample member to skip (phase 1)
+      PreemptState nps = ws.ps;
+      for (std::size_t x = 0; x < ntrans; ++x) {
+        std::size_t ti = x;
+        if (ample_only) {
+          ti = ws.ample_idx[x];
+        } else if (phase == 1 && member < ws.ample_idx.size() &&
+                   ws.ample_idx[member] == x) {
+          ++member;  // expanded in phase 0
+          continue;
+        }
+        const Transition& t = ws.transitions[ti];
+        const Rank rank = make_rank(phase, gi, ti);
+        if (rank > fail_rank.load(std::memory_order_relaxed)) return;
+        if (preempt) {
+          nps = ws.ps;
+          if (t.action.is_memory_op()) {
+            const std::uint8_t tp = t.action.op.proc;
+            if (nps.last != PreemptState::kNoLastProc && tp != nps.last) {
+              if (nps.budget == 0) {
+                // Context-switch budget exhausted: the bound prunes this
+                // scheduling.  Not counted as an explored transition.
+                ++ws.preempt_pruned;
+                continue;
+              }
+              --nps.budget;
+            }
+            nps.last = tp;
+          }
+        }
+        ++expanded;
+        ws.succ.assign_from(ws.cur);
+        const StepOutcome outcome = ws.succ.step(t, ws.symbols);
+        if (outcome != StepOutcome::Ok) {
+          // The failing transition counts.
+          ws.failure = {rank, k, outcome, ws.cur_idx, t, expanded};
+          Rank seen = fail_rank.load(std::memory_order_relaxed);
+          while (rank < seen &&
+                 !fail_rank.compare_exchange_weak(seen, rank,
+                                                  std::memory_order_relaxed)) {
+          }
+          ws.chunk_next = ws.chunk_end;  // the rest of the chunk ranks higher
+          return;
+        }
+        if (product) {
+          ws.peak_live = std::max(
+              ws.peak_live,
+              static_cast<std::size_t>(ws.succ.observer().peak_live_nodes()));
+        }
+        charge(ws.t_expand);
+        // succ = step(cur, t), so the step's touched mask doubles as the
+        // dirty mask relative to the begin_base() state.
+        const std::uint64_t orbit = ws.canon.canonicalize_key(
+            ws.succ, ws.key, nullptr, ws.succ.touched_procs());
+        if (preempt) {
+          ws.key.w.u8(nps.last);
+          ws.key.w.u32(nps.budget);
+        }
+        charge(ws.t_canon);
+        const auto key = ws.key.w.data();
+        const Fingerprint fp = fingerprint128(key);
+        // In fingerprint mode dedup is by fingerprint identity, so a hit
+        // in the worker-local cache IS a Duplicate verdict — same result
+        // the global probe would return, minus the cache miss.  Exact
+        // mode dedups by full key (two distinct keys may share a
+        // fingerprint), so a cache hit only nominates a shard slot; one
+        // byte-compare against it (confirm) certifies membership, and an
+        // alias falls back to the full probe.
+        ConcurrentStateStore::Insert ins;
+        bool from_store = false;
+        Worker::CacheEntry& centry =
+            ws.dup_cache[fp.lo & (ws.dup_cache.size() - 1)];
+        ++ws.cache_lookups;
+        if (centry.fp == fp &&
+            (!opt.exact_states || visited.confirm(key, fp, centry.slot))) {
+          ++ws.cache_hits;
+          ins = ConcurrentStateStore::Insert::Duplicate;
+        } else {
+          const auto r = visited.insert(key, fp);
+          ins = r.verdict;
+          from_store = true;
+          // Only states the store accepted are cached (a TableFull
+          // attempt inserted nothing).
+          if (ins != ConcurrentStateStore::Insert::TableFull) {
+            centry = {fp, r.slot};
+          }
+        }
+        charge(ws.t_dedup);
+        if (ins == ConcurrentStateStore::Insert::TableFull) {
+          // Abort at entry granularity *without* committing this entry's
+          // transition count or proviso record: after the grow barrier the
+          // whole entry is re-expanded, its already-claimed successors
+          // dedup to Duplicate (they were batched the moment they were
+          // claimed), and both are taken exactly once.
+          ws.proviso_fps.resize(fps_begin);
+          table_full.store(true, std::memory_order_release);
+          return;
+        }
+        if (ins == ConcurrentStateStore::Insert::Fresh) {
+          orbit_sum.fetch_add(orbit, std::memory_order_relaxed);
+          const std::size_t idx =
+              states.fetch_add(1, std::memory_order_relaxed);
+          Meta& m = meta.slot(idx);
+          m.parent = ws.cur_idx;
+          m.via = t;
+          if (logging) {
+            ws.claims[rank_partition(fp, nparts)].push_back(
+                {fp, rank, static_cast<std::uint32_t>(ws.out.size()),
+                 static_cast<std::uint32_t>(idx)});
+          }
+          append_entry(static_cast<std::uint32_t>(idx), ws.succ, ws.out,
+                       preempt ? &nps : nullptr);
+          charge(ws.t_mat);
+          if (idx + 1 >= opt.max_states) {
+            limit_hit.store(true, std::memory_order_relaxed);
+            item_stats[k].expanded = static_cast<std::uint32_t>(expanded);
+            ws.limit_item = k;
+            return;
+          }
+        } else {
+          if (ranked && from_store) {
+            ws.offers[rank_partition(fp, nparts)].push_back({fp, rank});
+          }
+          // Possible non-depth-increasing ample edge (C3): the duplicate
+          // may predate this level, closing a cycle inside the reduced
+          // graph.  The barrier decides once the level table is complete.
+          if (ample_only) ws.proviso_fps.push_back(fp);
+        }
+      }
+      ItemStat& st = item_stats[k];
+      st.expanded = static_cast<std::uint32_t>(expanded);
+      if (ample_only) {
+        st.deferred = static_cast<std::uint32_t>(ws.transitions.size() -
+                                                 ws.ample_idx.size());
+        st.kind = ItemStat::kAmple;
+        if (ws.proviso_fps.size() > fps_begin) {
+          st.kind = ItemStat::kProviso;
+          ws.proviso.push_back(
+              {static_cast<std::uint32_t>(gi),
+               static_cast<std::uint32_t>(ws.proviso_fps.size())});
+        }
+      } else if (por && phase == 0) {
+        st.kind = ItemStat::kFull;
+      }
+      ws.chunk_next = k + 1;
+    }
+  };
 
+  const auto run_phase = [&](unsigned ph, std::size_t n) {
+    phase = ph;
+    items = n;
+    logging = ranked || (ph == 0 && por);
+    claim.store(0, std::memory_order_relaxed);
+    chunk_sz = std::clamp<std::size_t>(n / (nworkers * 8), 1, 64);
+    item_stats.assign(n, ItemStat{});
+    for (const auto& ws : workers) {
+      ws->chunk_next = 0;
+      ws->chunk_end = 0;
+      ws->limit_item = kNoItem;
+    }
     for (;;) {
       pool.run_on_all(expand_worker);
-      if (failed.load() || limit_hit.load()) break;
+      if (limit_hit.load()) return;
       if (table_full.exchange(false)) {
         visited.grow();  // workers are quiescent between barriers
         continue;
       }
-      break;
+      return;
     }
+  };
 
+  // Barrier resolution: worker p builds partition p's level table from
+  // every worker's claims, then lowers each state's rank by the offers —
+  // all claims first, since an offer may name any worker's claim.
+  const auto resolve = [&](std::vector<LevelShard>& sh) {
+    pool.run_on_all([&](std::size_t p) {
+      std::size_t n = 0;
+      for (const auto& ws : workers) n += ws->claims[p].size();
+      sh[p].reset(n);
+      for (std::size_t w = 0; w < nworkers; ++w) {
+        for (const RankClaim& c : workers[w]->claims[p]) {
+          sh[p].add(static_cast<std::uint32_t>(w), c);
+        }
+        workers[w]->claims[p].clear();
+      }
+      for (const auto& ws : workers) {
+        for (const RankOffer& o : ws->offers[p]) sh[p].offer(o);
+        ws->offers[p].clear();
+      }
+    });
+  };
+
+  // Cycle proviso (C3), decided against the complete level table.  BFS
+  // assigns minimal depths, so any cycle in the reduced graph has an edge
+  // whose target is no deeper than its source; that edge shows up as an
+  // ample successor deduplicating against a state NOT discovered fresh at
+  // this level.  An entry whose duplicate ample successors are all in the
+  // table keeps its reduction; any other falls back to full expansion in
+  // phase 1.  The table holds exactly the level's phase-0 states whatever
+  // the interleaving, so the decisions are independent of thread count.
+  // (Freshness is judged by fingerprint in both store modes — exact mode
+  // accepts the 2^-128 aliasing risk to keep its decisions identical to
+  // fingerprint mode's.)
+  const auto decide = [&] {
+    pool.run_on_all([&](std::size_t w) {
+      Worker& ws = *workers[w];
+      std::size_t begin = 0;
+      for (const Worker::ProvisoEntry& e : ws.proviso) {
+        bool keep = true;
+        for (std::size_t i = begin; i < e.fps_end && keep; ++i) {
+          const Fingerprint fp = ws.proviso_fps[i];
+          keep = shards[0][rank_partition(fp, nparts)].contains(fp);
+        }
+        begin = e.fps_end;
+        ws.decisions.push_back({e.gi, item_stats[e.gi].deferred, keep});
+      }
+      ws.proviso.clear();
+      ws.proviso_fps.clear();
+    });
+    decisions.clear();
+    for (const auto& ws : workers) {
+      decisions.insert(decisions.end(), ws->decisions.begin(),
+                       ws->decisions.end());
+      ws->decisions.clear();
+    }
+    std::sort(decisions.begin(), decisions.end(),
+              [](const ProvisoDecision& a, const ProvisoDecision& b) {
+                return a.gi < b.gi;
+              });
+    fallbacks.clear();
+    for (const ProvisoDecision& d : decisions) {
+      if (!d.keep) fallbacks.push_back(d.gi);
+    }
+  };
+  // Credits the level's C3 decisions up to frontier position `gi_end`
+  // (exclusive); `kept_only` when the level stopped in phase 0, before any
+  // fallback ran.
+  const auto credit_decisions = [&](std::size_t gi_end, bool kept_only) {
+    for (const ProvisoDecision& d : decisions) {
+      if (d.gi >= gi_end) break;
+      if (d.keep) {
+        ++result.por_ample_states;
+        result.por_deferred_transitions += d.deferred;
+      } else if (!kept_only) {
+        ++result.por_proviso_fallbacks;
+        ++result.por_full_states;
+      }
+    }
+  };
+
+  // Ends a phase.  Without a stop it resolves the phase's ranks, commits
+  // its accounting and returns nothing.  Otherwise it returns the run's
+  // result: the POR redo, the one-worker re-run, StateLimit, or the
+  // failure report — counting, like one worker would, only the work ranked
+  // before the stop.
+  const auto settle =
+      [&](unsigned ph, std::size_t states_before) -> std::optional<McResult> {
     if (por_violation.load()) {
       // A live ample set failed cross-validation: some independence or
       // footprint declaration is wrong, so nothing explored under it can be
@@ -1236,154 +1394,125 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
       redo.por_note = "ample self-check failed at runtime (" +
                       por_violation_detail +
                       "); explored without partial-order reduction";
+      redo.seconds = elapsed();
       return redo;
     }
-
-    if (por && !failed.load() && !limit_hit.load()) {
-      // Deterministic cycle-proviso (C3) resolution.  BFS assigns minimal
-      // depths, so any cycle in the reduced graph has an edge whose target
-      // is no deeper than its source; that edge shows up as an ample
-      // successor deduplicating against a state NOT discovered fresh at
-      // this level.  Workers recorded every such unproven entry; with the
-      // pool quiescent, the union of their fresh sets is the exact
-      // level-fresh set, so re-deciding each entry against it here is
-      // independent of thread count and scheduling.  (Freshness is judged
-      // by fingerprint in both store modes — exact mode accepts the 2^-128
-      // aliasing risk to keep its decisions identical to fingerprint
-      // mode's.)  The union is never materialized: a membership query just
-      // probes every worker's own set, plus the overflow set of states the
-      // fallback expansions below discover late.
-      retries.clear();
-      for (const auto& ws : workers) {
-        retries.insert(retries.end(), ws->proviso_retry.begin(),
-                       ws->proviso_retry.end());
+    const Failure* f = nullptr;
+    std::size_t limit_item = kNoItem;
+    for (const auto& ws : workers) {
+      if (ws->failure.rank < (f == nullptr ? kNoRank : f->rank)) {
+        f = &ws->failure;
       }
-      std::sort(retries.begin(), retries.end());
-      Worker& ws = *workers[0];
-      auto& late_fresh = ws.level_fresh_overflow;
-      late_fresh.clear();
-      const auto fresh_this_level = [&](const Fingerprint& f) {
-        for (const auto& wp : workers) {
-          if (wp->level_fresh_set.contains(f)) return true;
-        }
-        return late_fresh.contains(f);
-      };
-      for (const std::uint32_t gi : retries) {
-        std::size_t batch = 0;
-        while (prefix[batch + 1] <= gi) ++batch;
-        ws.cur_idx =
-            restore_entry(frontier[batch].entry(gi - prefix[batch]), ws.cur);
-        ws.transitions.clear();
-        ws.cur.enumerate(ws.transitions);
-        const bool re =
-            ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
-        SCV_ASSERT(re);  // selection is deterministic in the state bytes
-        ws.canon.begin_base();
-        bool all_fresh = true;
-        for (const std::uint32_t i : ws.ample_idx) {
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome o = ws.succ.step(ws.transitions[i], ws.symbols);
-          SCV_ASSERT(o == StepOutcome::Ok);
-          ws.canon.canonicalize_key(ws.succ, ws.key, nullptr,
-                                    ws.succ.touched_procs());
-          if (!fresh_this_level(fingerprint128(ws.key.w.data()))) {
-            all_fresh = false;
-            break;
-          }
-        }
-        if (all_fresh) {
-          // Depth strictly increases along every ample edge of this entry,
-          // so no reduced cycle closes through it: the reduction stands.
-          ++por_post.ample_states;
-          por_post.deferred_transitions +=
-              ws.transitions.size() - ws.ample_idx.size();
-          continue;
-        }
-        // Proviso fallback: expand the deferred complement too.  The ample
-        // members already ran in the parallel phase, so only the remainder
-        // is stepped; dedup absorbs any overlap, exactly like TableFull
-        // re-expansion.
-        ++por_post.proviso_fallbacks;
-        ++por_post.full_states;
-        std::uint64_t extra = 0;
-        std::size_t m = 0;
-        bool aborted = false;
-        for (std::size_t j = 0; j < ws.transitions.size(); ++j) {
-          if (m < ws.ample_idx.size() && ws.ample_idx[m] == j) {
-            ++m;
-            continue;
-          }
-          ++extra;
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome outcome =
-              ws.succ.step(ws.transitions[j], ws.symbols);
-          if (outcome != StepOutcome::Ok) {
-            std::lock_guard lock(failure_mu);
-            if (!failed.exchange(true)) {
-              failure_outcome = outcome;
-              failure_parent = ws.cur_idx;
-              failure_via = ws.transitions[j];
-            }
-            aborted = true;
-            break;
-          }
-          const std::uint64_t orbit = ws.canon.canonicalize_key(
-              ws.succ, ws.key, nullptr, ws.succ.touched_procs());
-          const auto key = ws.key.w.data();
-          const Fingerprint fp = fingerprint128(key);
-          auto r = visited.insert(key, fp);
-          if (r.verdict == ConcurrentStateStore::Insert::TableFull) {
-            visited.grow();  // single-threaded here: growing inline is safe
-            r = visited.insert(key, fp);
-          }
-          if (r.verdict == ConcurrentStateStore::Insert::Fresh) {
-            orbit_sum.fetch_add(orbit, std::memory_order_relaxed);
-            const std::size_t idx =
-                states.fetch_add(1, std::memory_order_relaxed);
-            Meta& mm = meta.slot(idx);
-            mm.parent = ws.cur_idx;
-            mm.via = ws.transitions[j];
-            append_entry(static_cast<std::uint32_t>(idx), ws.succ, ws.out);
-            // Late fresh states join the level-fresh set: a later retry's
-            // ample successor may legitimately hit one of them.
-            late_fresh.insert(fp);
-            if (idx + 1 >= opt.max_states) {
-              limit_hit.store(true, std::memory_order_relaxed);
-              aborted = true;
-              break;
-            }
-          }
-        }
-        transitions.fetch_add(extra, std::memory_order_relaxed);
-        if (aborted) break;
+      limit_item = std::min(limit_item, ws->limit_item);
+    }
+    if (f != nullptr && limit_item != kNoItem) {
+      // The state budget and a failure both tripped in this level (only
+      // several workers can trip both).  The budget stopped workers before
+      // every entry ranked below the failure was expanded, so the claims
+      // cannot tell whether one worker reaches the failure or the budget
+      // first, and settling it would mean claiming states past the budget.
+      // This corner alone re-explores on one worker.
+      McOptions seq = opt;
+      seq.threads = 1;
+      McResult redo = run_bfs(proto, seq, oracle);
+      redo.seconds = elapsed();
+      return redo;
+    }
+    if (logging) resolve(shards[ph]);
+    if (ph == 0 && por) decide();
+    // A failure bounds the items that count; unfinished items are zero.
+    const std::size_t bound = f != nullptr ? f->item : items;
+    for (std::size_t k = 0; k < bound; ++k) {
+      const ItemStat& st = item_stats[k];
+      transitions_done += st.expanded;
+      if (st.kind == ItemStat::kFull) {
+        ++result.por_full_states;
+      } else if (st.kind == ItemStat::kAmple) {
+        ++result.por_ample_states;
+        result.por_deferred_transitions += st.deferred;
       }
     }
-
-    // Failure wins over the state limit: within a level the choice is
-    // inherently order-dependent, and reporting the violation is strictly
-    // more informative.
-    if (failed.load()) {
-      if (nworkers > 1) {
-        // Delegate to the deterministic single-worker engine for the
-        // canonical (and, with record_counterexample, byte-stable)
-        // counterexample; see the engine comment above.
-        McOptions seq = opt;
-        seq.threads = 1;
-        return run_bfs(proto, seq, oracle);
-      }
-      merge_worker_stats();
-      result.transitions = transitions.load();
-      result.states = states.load();
-      fill_store_stats(result, visited);
-      result.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      return finish_failure(proto, opt, std::move(result), failure_outcome,
-                            meta, failure_parent, failure_via);
+    if (f == nullptr && limit_item == kNoItem) return std::nullopt;
+    // A phase-0 stop precedes every fallback, so only kept reductions count
+    // (one worker decides those as it goes); a phase-1 stop counts every
+    // decision up to the entry it stopped in.
+    if (ph == 0) {
+      credit_decisions(bound, true);
+    } else {
+      credit_decisions(fallbacks[f != nullptr ? f->item : limit_item] + 1,
+                       false);
     }
-    if (limit_hit.load()) {
-      merge_worker_stats();
-      return finish(McVerdict::StateLimit);
+    if (f == nullptr) return finish(McVerdict::StateLimit);
+    transitions_done += f->expanded;
+    std::size_t n = states.load();
+    if (ranked) {
+      // The states whose minimum rank precedes the failure.
+      n = states_before;
+      for (const LevelShard& sh : shards[ph]) {
+        for (const LevelShard::State& s : sh.states()) {
+          if (s.best < f->rank) ++n;
+        }
+      }
+    }
+    merge_worker_stats();
+    result.transitions = transitions_done;
+    result.states = n;
+    fill_store_stats(result, visited);
+    result.seconds = elapsed();
+    return finish_failure(proto, opt, std::move(result), f->outcome, meta,
+                          f->parent, f->via);
+  };
+
+  while (frontier_entries > 0) {
+    if (result.depth >= opt.max_depth) return finish(McVerdict::StateLimit);
+    const auto lt0 = std::chrono::steady_clock::now();
+    const std::size_t states_before = states.load();
+    const std::size_t total = frontier_entries;
+    std::size_t cur_bytes = order.size() * sizeof(std::uint64_t);
+    for (const FrontierBatch& b : frontier) cur_bytes += b.bytes.size();
+    for (const auto& ws : workers) ws->out.clear();
+    decisions.clear();
+    fallbacks.clear();
+
+    run_phase(0, total);
+    if (auto done = settle(0, states_before)) return std::move(*done);
+    if (!fallbacks.empty()) {
+      run_phase(1, fallbacks.size());
+      if (auto done = settle(1, states.load())) return std::move(*done);
+    }
+    credit_decisions(total, false);
+
+    if (ranked) {
+      // Rewrite Meta where another worker's claim beat the minimum-rank
+      // discoverer (its transition comes from re-enumerating the winner's
+      // parent; the claimer's snapshot stays — it is key-equal), then
+      // order each partition by rank for the next frontier.
+      const std::size_t nphases = fallbacks.empty() ? 1 : 2;
+      pool.run_on_all([&](std::size_t p) {
+        Worker& ws = *workers[p];
+        for (std::size_t ph = 0; ph < nphases; ++ph) {
+          for (const LevelShard::State& s : shards[ph][p].states()) {
+            if (!s.contested()) continue;
+            const std::uint32_t parent = restore_entry(
+                entry(rank_gi(s.best)), ws.cur, preempt ? &ws.ps : nullptr);
+            ws.transitions.clear();
+            ws.cur.enumerate(ws.transitions);
+            Meta& m = meta.slot(s.idx);
+            m.parent = parent;
+            m.via = ws.transitions[rank_ti(s.best)];
+          }
+          shards[ph][p].sort_by_rank();
+        }
+      });
+      next_order.clear();
+      for (std::size_t ph = 0; ph < nphases; ++ph) {
+        append_rank_order(shards[ph], next_order);
+      }
+    }
+    // The level tables are spent; release them rather than keep them
+    // beside the next level's frontier, the run's largest buffer.
+    for (auto& tables : shards) {
+      for (LevelShard& sh : tables) sh = LevelShard{};
     }
 
     if (visited.should_grow()) visited.grow();
@@ -1391,11 +1520,15 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     // Swap the workers' batches in as the next frontier; the old frontier
     // buffers become next level's write buffers (double buffering).
     std::size_t next_entries = 0;
-    std::size_t next_bytes = 0;
+    std::size_t next_bytes = next_order.size() * sizeof(std::uint64_t);
     for (std::size_t w = 0; w < nworkers; ++w) {
       std::swap(frontier[w], workers[w]->out);
       next_entries += frontier[w].size();
       next_bytes += frontier[w].bytes.size();
+    }
+    if (ranked) {
+      SCV_ASSERT(next_order.size() == next_entries);
+      order.swap(next_order);
     }
     frontier_entries = next_entries;
     result.peak_frontier = std::max(result.peak_frontier, next_entries);
@@ -1408,7 +1541,6 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     ++result.depth;
   }
 
-  merge_worker_stats();
   return finish(McVerdict::Verified);
 }
 

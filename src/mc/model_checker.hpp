@@ -56,7 +56,9 @@ enum class McVerdict : std::uint8_t {
 struct McOptions {
   std::size_t max_states = 50'000'000;
   std::size_t max_depth = ~std::size_t{0};
-  std::size_t threads = 1;  ///< 1 = sequential BFS
+  /// BFS workers; 1 runs inline.  Verdict, counts and counterexample are
+  /// the same at every count.
+  std::size_t threads = 1;
   /// Observer configuration — including the memory model (ObserverConfig::
   /// model), which the whole stack reads from here: the product builds its
   /// checker from it, counterexample replay and the recorded trace keep it,
@@ -190,6 +192,10 @@ struct McResult {
   /// compact frontier in the parallel engine; Entry-object estimate in the
   /// sequential one).
   std::size_t frontier_bytes = 0;
+  /// Wall time of the whole exploration up to the verdict, including a POR
+  /// redo or the one-worker re-run of a level where a failure and the state
+  /// budget both tripped; excludes model_check's set-up self-checks and the
+  /// counterexample replay.
   double seconds = 0.0;
   std::string reason;  ///< reject reason / error message
   std::vector<CounterexampleStep> counterexample;

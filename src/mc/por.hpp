@@ -82,14 +82,6 @@ class DeclaredPorOracle final : public PorOracle {
   const Protocol* protocol_;
 };
 
-/// Counters for McResult reporting; merged across workers by the engine.
-struct AmpleStats {
-  std::uint64_t ample_states = 0;   ///< states expanded via a proper ample set
-  std::uint64_t full_states = 0;    ///< states expanded in full
-  std::uint64_t proviso_fallbacks = 0;  ///< full expansions forced by C3
-  std::uint64_t deferred_transitions = 0;  ///< enabled transitions pruned
-};
-
 class AmpleSelector {
  public:
   /// Inactive selector: select() always reports full expansion.

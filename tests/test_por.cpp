@@ -164,10 +164,11 @@ TEST(Por, ReducedReachableSetIsSubsetOfFull) {
 
 // ------------------------------------------------- determinism and stats
 
-// Ample selection, the cycle proviso and the level-freshness bookkeeping
-// must be deterministic across worker counts: a level-synchronized barrier
-// plus the post-level single-threaded proviso resolution make thread count
-// an implementation detail, not an exploration parameter.  (CI runs this
+// Ample selection, the cycle proviso and its fallbacks must be
+// deterministic across worker counts: the proviso is decided at the level
+// barrier against the complete level table, and the fallbacks run as a
+// rank-ordered second phase on all workers, which makes thread count an
+// implementation detail, not an exploration parameter.  (CI runs this
 // under TSan.)
 TEST(Por, ThreadCountParityOnDirectory) {
   const DirectoryProtocol proto(2, 1, 2);

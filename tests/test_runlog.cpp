@@ -458,8 +458,8 @@ TEST(TraceCheck, BadHeaderConfigIsRecoverableError) {
 TEST(TraceCheck, SeqAndParCounterexampleRecordingsAreByteIdentical) {
   // The acceptance bar for recorded evidence: the parallel engine's
   // exported violation trace must equal the sequential engine's, byte for
-  // byte (the multi-worker run delegates failure reporting to the
-  // deterministic single-worker engine precisely for this).
+  // byte (the multi-worker run reproduces one worker's rank order and
+  // reports the minimum-rank failure; DESIGN.md §11).
   MsiBus proto(2, 1, 1, /*lost_invalidation=*/true);
   McOptions seq;
   seq.record_counterexample = true;
