@@ -77,10 +77,8 @@ class ScChecker {
   Status feed(const Symbol& sym);
 
   /// Consumes a whole batch, stopping at the first reject.  Semantically
-  /// feed() in a loop; the batch form is the streaming hot path — one call
-  /// per drained ring batch amortizes the caller's virtual sink dispatch
-  /// and lets the sticky-reject and bounds checks stay in registers across
-  /// symbols instead of being re-established per call.
+  /// feed() in a loop; every driver feeds one step's symbols per call
+  /// (Product::step, the trace replayer, the streaming service).
   Status feed_batch(std::span<const Symbol> syms);
 
   [[nodiscard]] const ScCheckerConfig& config() const noexcept { return cfg_; }

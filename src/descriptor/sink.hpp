@@ -1,26 +1,25 @@
-// The descriptor-stream consumer seam.
+// The descriptor-stream observation seam.
 //
 // Theorem 3.1 splits verification into a protocol-specific observer that
-// *emits* a symbol stream and a protocol-independent checker that *consumes*
-// it.  SymbolSink is that consumption seam made explicit: anything that
-// wants to watch an observer run — the ScChecker, a run-trace recorder, a
-// statistics collector — implements it and is attached to the pipeline
-// driving the run.
+// *emits* a symbol stream and a protocol-independent checker that
+// *consumes* it.  The checker is fed directly (ScChecker::feed_batch, once
+// per step) by each driver: Product::step, the trace replayer and the
+// streaming service.  SymbolSink is for everything else that wants to watch
+// a run — the run-trace recorder, the statistics collector — attached to
+// the product driving it.
 //
 // Sinks are observation-only: on_symbol returns void, so a sink cannot veto
-// or reorder the run it watches.  (The checker "rejects" by flipping its own
-// sticky state, which the driver inspects *after* the step — the sink
-// interface itself grants no control.)  This preserves the linter's R4
+// or reorder the run it watches.  This preserves the linter's R4
 // non-interference property by construction: attaching any number of sinks
-// can never change which runs the protocol takes.
+// can never change which runs the protocol takes or what the checker
+// decides.
 //
 // Stream framing: a run is a sequence of *steps* (one protocol transition
 // each).  Drivers bracket every step with begin_step/end_step so sinks that
 // care about run structure (the recorder) can group symbols per transition,
-// while flat consumers (the checker) just override on_symbol.
+// while flat consumers (the statistics collector) just override on_symbol.
 #pragma once
 
-#include <span>
 #include <string_view>
 
 #include "descriptor/symbol.hpp"
@@ -41,16 +40,6 @@ class SymbolSink {
 
   /// One descriptor symbol emitted within the current step.
   virtual void on_symbol(const Symbol& sym) = 0;
-
-  /// A contiguous run of symbols within the current step.  Semantically
-  /// identical to calling on_symbol per element; batch-oriented drivers
-  /// (the streaming service's ring drain, the chunked trace reader) call
-  /// this once per batch so a sink with a native batch path (CheckerSink →
-  /// ScChecker::feed_batch) pays one virtual dispatch per batch instead of
-  /// one per symbol.  Observation-only like on_symbol.
-  virtual void on_batch(std::span<const Symbol> syms) {
-    for (const Symbol& sym : syms) on_symbol(sym);
-  }
 
   /// The current step is complete (all of its symbols were delivered).
   virtual void end_step() {}

@@ -24,7 +24,6 @@
 #include "util/assert.hpp"
 #include "util/concurrent_fp_set.hpp"
 #include "util/fingerprint.hpp"
-#include "util/fp_set.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -906,7 +905,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     // duplicate ample successor (the barrier's C3 step decides them) and
     // those duplicates' fingerprints, this worker's share of the C3
     // decisions, and scratch products for the sampled ample
-    // cross-validation (allocated only when the self-check is on).
+    // cross-validation (allocated only when POR is on).
     AmpleSelector ample;
     std::vector<std::uint32_t> ample_idx;
     struct ProvisoEntry {
@@ -948,7 +947,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     if (opt.symbol_stats && product) {
       workers.back()->succ.add_sink(&workers.back()->stats);
     }
-    if (por && opt.por_self_check) {
+    if (por) {
       workers.back()->chk_a =
           std::make_unique<Product>(proto, opt.observer, product);
       workers.back()->chk_b =
@@ -1105,7 +1104,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
       // A fallback re-selects its ample set (selection is deterministic in
       // the state bytes) and expands the deferred complement.
       SCV_ASSERT(phase == 0 || reduced);
-      if (phase == 0 && reduced && opt.por_self_check &&
+      if (phase == 0 && reduced &&
           (ws.reduced_seen++ % kPorSampleEvery) == 0) {
         std::string detail;
         if (!ample_check_ok(ws, detail)) {
@@ -1649,9 +1648,8 @@ McResult model_check(const Protocol& protocol, const McOptions& options) {
         "symmetry reduction";
   }
   const auto& pr = protocol.params();
-  if (opt.symmetry_reduction && opt.symmetry_self_check &&
-      protocol.processor_symmetric() && pr.procs >= 2 &&
-      pr.procs <= ProcPerm::kMax) {
+  if (opt.symmetry_reduction && protocol.processor_symmetric() &&
+      pr.procs >= 2 && pr.procs <= ProcPerm::kMax) {
     const SymmetryCheckResult sym = check_processor_symmetry(protocol);
     std::string detail;
     if (!sym.ok) {
@@ -1699,8 +1697,8 @@ McResult model_check(const Protocol& protocol, const McOptions& options) {
   // full expansion — slower but sound — and say why.  (The engine keeps
   // cross-validating ample sets on sampled reachable states during the
   // run; see run_bfs.)
-  if (opt.partial_order_reduction && opt.por_self_check &&
-      !opt.protocol_only && oracle->por_enabled()) {
+  if (opt.partial_order_reduction && !opt.protocol_only &&
+      oracle->por_enabled()) {
     std::string detail;
     if (!product_por_ok(protocol, opt, *oracle, detail)) {
       opt.partial_order_reduction = false;

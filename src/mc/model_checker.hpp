@@ -15,9 +15,9 @@
 //                              sequentially consistent (Lemma 3.1).
 //
 // States are canonical byte strings (protocol state + observer state +
-// checker state) in an open hash set; BFS gives shortest counterexamples.
-// A level-synchronized parallel BFS (sharded visited set) provides the
-// multi-core path.
+// checker state), stored as 128-bit fingerprints in a concurrent hash set
+// (full keys under McOptions::exact_states).  One level-synchronized BFS
+// engine serves every thread count and gives shortest counterexamples.
 #pragma once
 
 #include <cstdint>
@@ -108,15 +108,13 @@ struct McOptions {
   /// explored state count by up to p! on processor-symmetric protocols.
   /// Engages only when the protocol declares processor_symmetric() and
   /// procs >= 2; on asymmetric protocols it is a no-op.  Sound because
-  /// processor permutations are bisimulations of the product — opt out to
-  /// compare against full exploration (the differential tests do).
+  /// processor permutations are bisimulations of the product, which
+  /// model_check first sample-checks (check_processor_symmetry plus a
+  /// product-level walk); a declaration failing the check falls back to
+  /// identity canonicalization, with McResult::symmetry_note saying why.
+  /// Opt out to compare against full exploration (the differential tests
+  /// do).
   bool symmetry_reduction = true;
-  /// Before engaging symmetry reduction, sample-check that permuting the
-  /// product actually commutes with stepping it (check_processor_symmetry).
-  /// A protocol whose declaration fails the check falls back to identity
-  /// canonicalization — with McResult::symmetry_note explaining why —
-  /// instead of unsoundly merging non-equivalent states.
-  bool symmetry_self_check = true;
   /// Ample-set partial-order reduction (DESIGN.md §14): expand only a
   /// sound subset of each state's enabled transitions, built from the
   /// protocol's declared independence relation (Protocol::por_enabled /
@@ -124,16 +122,13 @@ struct McOptions {
   /// ample selection runs on canonical orbit representatives, so it is
   /// invariant under processor renaming.  Engages only when the protocol
   /// opts in; inert in protocol_only mode (visibility is defined against
-  /// the observer/checker pipeline).  Opt out to compare against full
-  /// expansion (the differential tests do).
+  /// the observer/checker pipeline).  Before engaging, model_check sample-
+  /// checks that independent pairs commute at the product level, and the
+  /// engine keeps cross-validating ample sets against full expansion on
+  /// sampled states; a relation failing either check falls back to full
+  /// expansion, with McResult::por_note saying why.  Opt out to compare
+  /// against full expansion (the differential tests do).
   bool partial_order_reduction = true;
-  /// Before engaging POR, sample-check that declared-independent pairs
-  /// really commute at the product level, and keep cross-validating ample
-  /// sets against full expansion on sampled states during the run.  A
-  /// protocol whose declarations fail either check falls back to full
-  /// expansion — with McResult::por_note explaining why — instead of
-  /// unsoundly pruning interleavings.
-  bool por_self_check = true;
   /// Run ample-set POR from the *inferred* footprints and independence
   /// relation (DESIGN.md §15) instead of the protocol's declarations: build
   /// the protocol's control skeleton, exhaustively verify invisibility and
@@ -183,14 +178,13 @@ struct McResult {
   std::size_t peak_frontier = 0;
   std::size_t peak_live_nodes = 0;  ///< max observer active-graph size seen
   std::size_t state_bytes = 0;      ///< size of one serialized product state
-  /// Resident-set estimate of the visited-state store (all shards): flat
-  /// table bytes in fingerprint mode, string + node + bucket estimate in
-  /// exact mode.
+  /// Resident-set estimate of the visited-state store: the fingerprint
+  /// table's slot bytes in fingerprint mode, a string + node + bucket
+  /// estimate of the key maps in exact mode.
   std::size_t store_bytes = 0;
   double store_load_factor = 0.0;  ///< occupancy of the visited-state store
   /// Peak bytes held by the serialized BFS frontier (both buffers of the
-  /// compact frontier in the parallel engine; Entry-object estimate in the
-  /// sequential one).
+  /// compact frontier).
   std::size_t frontier_bytes = 0;
   /// Wall time of the whole exploration up to the verdict, including a POR
   /// redo or the one-worker re-run of a level where a failure and the state

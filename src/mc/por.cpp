@@ -7,16 +7,9 @@
 
 namespace scv {
 
-AmpleSelector::AmpleSelector(const Protocol& protocol, bool enable)
-    : protocol_(&protocol),
-      active_(enable && protocol.por_enabled() &&
-              protocol.params().procs <= 32 &&
-              protocol.params().blocks <= 32) {}
-
 AmpleSelector::AmpleSelector(const Protocol& protocol,
                              const PorOracle& oracle, bool enable)
-    : protocol_(&protocol),
-      oracle_(&oracle),
+    : oracle_(&oracle),
       active_(enable && oracle.por_enabled() &&
               protocol.params().procs <= 32 &&
               protocol.params().blocks <= 32) {}
@@ -37,7 +30,7 @@ bool AmpleSelector::select(const Product& product,
   candidate_.assign(n, 0);
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
-    fps_.push_back(footprint_of(trans[i]));
+    fps_.push_back(oracle_->footprint(trans[i]));
     const PorFootprint& fp = fps_.back();
     if (!fp.visible && std::has_single_bit(fp.procs) &&
         !product.transition_visible(trans[i])) {
@@ -86,8 +79,8 @@ bool AmpleSelector::select(const Product& product,
         continue;  // member of this group
       }
       for (const std::uint32_t i : grp.members) {
-        if (!independent_of(trans[i], trans[j]) ||
-            !independent_of(trans[j], trans[i])) {
+        if (!oracle_->independent(trans[i], trans[j]) ||
+            !oracle_->independent(trans[j], trans[i])) {
           valid = false;
           break;
         }

@@ -24,8 +24,10 @@
 //      minimal depths, so any cycle in the reduced graph contains an edge
 //      whose target depth is <= its source depth; the engine detects that
 //      edge (an ample successor already visited at the current or a
-//      shallower level) and re-expands its source in full.  See
-//      run_bfs's level-freshness set.
+//      shallower level) and re-expands its source in full.  Reduced entries
+//      log their duplicate ample successors; run_bfs decides them against
+//      the level's claim table at the barrier and expands the fallbacks as
+//      a second phase.
 //
 // Candidate sets are the (processor, block-mask) groups of invisible
 // singleton-processor footprints — e.g. the directory protocol's local
@@ -87,13 +89,9 @@ class AmpleSelector {
   /// Inactive selector: select() always reports full expansion.
   AmpleSelector() = default;
 
-  /// Active iff `enable`, the protocol opts in (por_enabled) and the
-  /// processor count fits the footprint masks.  Uses the protocol's own
-  /// declarations as the oracle.
-  AmpleSelector(const Protocol& protocol, bool enable);
-
-  /// Same, but consulting `oracle` for footprints and independence.  The
-  /// oracle must outlive the selector.
+  /// Active iff `enable`, `oracle` lets POR engage (por_enabled) and the
+  /// processor and block counts fit the footprint masks.  Consults `oracle`
+  /// for footprints and independence; it must outlive the selector.
   AmpleSelector(const Protocol& protocol, const PorOracle& oracle,
                 bool enable);
 
@@ -104,27 +102,13 @@ class AmpleSelector {
   /// indices of the members (a strict subset of 0..trans.size()-1) and
   /// returns true; returns false when selection degenerates to full
   /// expansion (no candidate group, no valid group, or no group smaller
-  /// than the whole set).  Deterministic in (protocol declarations, trans).
+  /// than the whole set).  Deterministic in (oracle, trans).
   bool select(const Product& product, const std::vector<Transition>& trans,
               std::vector<std::uint32_t>& out);
 
  private:
-  const Protocol* protocol_ = nullptr;
-  /// Non-null when an external oracle supplies the relation; null means
-  /// "consult protocol_ directly" (keeps the selector trivially copyable —
-  /// no self-pointer to an owned oracle).
   const PorOracle* oracle_ = nullptr;
   bool active_ = false;
-
-  [[nodiscard]] PorFootprint footprint_of(const Transition& t) const {
-    return oracle_ != nullptr ? oracle_->footprint(t)
-                              : protocol_->por_footprint(t);
-  }
-  [[nodiscard]] bool independent_of(const Transition& a,
-                                    const Transition& b) const {
-    return oracle_ != nullptr ? oracle_->independent(a, b)
-                              : protocol_->independent(a, b);
-  }
 
   struct Group {
     std::uint8_t proc = 0;

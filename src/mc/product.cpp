@@ -1,5 +1,6 @@
 #include "mc/product.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -8,18 +9,13 @@ namespace scv {
 
 Product::Product(const Protocol& protocol, const ObserverConfig& config,
                  bool with_observer)
-    : protocol_(&protocol), proto_(protocol) {
-  components_[ncomponents_++] = &proto_;
+    : protocol_(&protocol), state_(protocol.state_size()) {
+  protocol.initial_state(state_);
   if (with_observer) {
-    obs_ = std::make_unique<ObserverComponent>(protocol, config);
+    obs_.emplace(protocol, config);
     const auto& pr = protocol.params();
-    chk_ = std::make_unique<CheckerComponent>(
-        ScCheckerConfig{obs_->observer().bandwidth(), pr.procs, pr.blocks,
-                        pr.values, config.model});
-    chk_sink_ = std::make_unique<CheckerSink>(chk_->checker());
-    components_[ncomponents_++] = obs_.get();
-    components_[ncomponents_++] = chk_.get();
-    sinks_.push_back(chk_sink_.get());
+    chk_.emplace(ScCheckerConfig{obs_->bandwidth(), pr.procs, pr.blocks,
+                                 pr.values, config.model});
   }
 }
 
@@ -31,8 +27,7 @@ void Product::add_sink(SymbolSink* sink) {
 bool Product::transition_visible(const Transition& t) const {
   if (t.action.is_memory_op()) return true;
   if (t.serialize_loc >= 0) return true;
-  if (obs_ != nullptr && obs_->observer().config().location_mirrored &&
-      !t.copies.empty()) {
+  if (obs_ && obs_->config().location_mirrored && !t.copies.empty()) {
     return true;
   }
   return false;
@@ -40,81 +35,96 @@ bool Product::transition_visible(const Transition& t) const {
 
 StepOutcome Product::step(const Transition& t, std::vector<Symbol>& symbols,
                           std::string_view action) {
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->begin_step();
-  }
-  proto_.apply(t);
-  if (obs_ == nullptr) return StepOutcome::Ok;
+  state_touched_ = protocol_->touched_procs(state_, t);  // of the pre-state
+  protocol_->apply(state_, t);
+  if (!obs_) return StepOutcome::Ok;
+  // The checker takes a stream of symbols per step, so the product owns the
+  // reset of its touched mask (Observer::step resets its own).
+  chk_->reset_touched();
   symbols.clear();
-  const ObserverStatus st =
-      obs_->observer().step(t, proto_.state(), symbols);
+  const ObserverStatus st = obs_->step(t, state_, symbols);
   if (st == ObserverStatus::BandwidthExceeded) return StepOutcome::Bound;
   if (st == ObserverStatus::TrackingInconsistent) {
     return StepOutcome::Tracking;
   }
-  for (SymbolSink* sink : sinks_) sink->begin_step(action);
-  for (const Symbol& sym : symbols) {
-    for (SymbolSink* sink : sinks_) sink->on_symbol(sym);
+  const ScChecker::Status verdict = chk_->feed_batch(symbols);
+  for (SymbolSink* sink : sinks_) {
+    sink->begin_step(action);
+    for (const Symbol& sym : symbols) sink->on_symbol(sym);
+    sink->end_step();
   }
-  for (SymbolSink* sink : sinks_) sink->end_step();
-  return chk_->checker().rejected() ? StepOutcome::Reject : StepOutcome::Ok;
+  return verdict == ScChecker::Status::Reject ? StepOutcome::Reject
+                                              : StepOutcome::Ok;
 }
 
 std::span<const std::uint8_t> Product::key(KeyScratch& ks) const {
   ks.w.clear();
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->key(ks.w, ks.ctx);
+  ks.w.bytes(state_);  // the protocol's encoding is already canonical
+  if (obs_) {
+    obs_->serialize(ks.w, &ks.id_canon);
+    chk_->serialize_canonical(ks.w, ks.id_canon);
   }
   return ks.w.data();
 }
 
 void Product::snapshot(ByteWriter& w) const {
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->snapshot(w);
+  w.bytes(state_);
+  if (obs_) {
+    obs_->snapshot(w);
+    chk_->snapshot(w);
   }
 }
 
 void Product::restore(ByteReader& r) {
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->restore(r);
+  const auto v = r.view(state_.size());
+  std::copy(v.begin(), v.end(), state_.begin());
+  state_touched_ = ~0u;
+  if (obs_) {
+    obs_->restore(r);
+    chk_->restore(r);
   }
 }
 
 void Product::assign_from(const Product& other) {
-  SCV_EXPECTS(ncomponents_ == other.ncomponents_);
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->assign_from(*other.components_[c]);
+  SCV_EXPECTS(with_observer() == other.with_observer());
+  state_ = other.state_;
+  state_touched_ = ~0u;
+  if (obs_) {
+    *obs_ = *other.obs_;
+    *chk_ = *other.chk_;
   }
 }
 
 void Product::permute_procs(const ProcPerm& perm) {
   if (perm.is_identity()) return;
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->permute_procs(perm);
+  protocol_->permute_procs(state_, perm);
+  state_touched_ = ~0u;
+  if (obs_) {
+    obs_->permute_procs(perm);
+    chk_->permute_procs(perm);
   }
 }
 
 void Product::proc_signature(ProcId p, ByteWriter& w) const {
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    components_[c]->proc_signature(p, w);
+  protocol_->proc_signature(state_, p, w);
+  if (obs_) {
+    obs_->proc_signature(p, w);
+    chk_->proc_signature(p, w);
   }
 }
 
 std::uint32_t Product::touched_procs() const {
-  std::uint32_t mask = 0;
-  for (std::size_t c = 0; c < ncomponents_; ++c) {
-    mask |= components_[c]->touched_procs();
-  }
-  return mask;
+  if (!obs_) return state_touched_;
+  return state_touched_ | obs_->touched_procs() | chk_->touched_procs();
 }
 
 std::string Product::failure_reason(StepOutcome outcome) const {
   switch (outcome) {
     case StepOutcome::Reject:
-      return chk_->checker().reject_reason();
+      return chk_->reject_reason();
     case StepOutcome::Bound:
     case StepOutcome::Tracking:
-      return obs_->observer().error();
+      return obs_->error();
     case StepOutcome::Ok:
       break;
   }
@@ -269,7 +279,10 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
   const auto consider = [&](std::span<const std::uint8_t> key,
                             const ProcPerm& pi) {
     const std::size_t n = std::min(best_.size(), key.size());
-    const int c = first ? -1 : std::memcmp(key.data(), best_.data(), n);
+    // memcmp's pointers must be non-null even at n == 0 (empty keys).
+    const int c = first    ? -1
+                  : n == 0 ? 0
+                           : std::memcmp(key.data(), best_.data(), n);
     const bool less = c < 0 || (c == 0 && key.size() < best_.size());
     if (less) {
       best_.assign(key.begin(), key.end());
@@ -311,8 +324,8 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     trial_.w.clear();
     trial_.w.bytes(perm_state_);
     if (p.with_observer()) {
-      p.observer().serialize(trial_.w, &trial_.ctx.id_canon, &pi);
-      p.checker().serialize_canonical(trial_.w, trial_.ctx.id_canon, &pi);
+      p.observer().serialize(trial_.w, &trial_.id_canon, &pi);
+      p.checker().serialize_canonical(trial_.w, trial_.id_canon, &pi);
     }
     consider(trial_.w.data(), pi);
   } while (advance());

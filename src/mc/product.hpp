@@ -1,37 +1,32 @@
-// The product automaton as an explicit component pipeline.
+// The product automaton of Section 3.4.
 //
-// Section 3.4's verification object is the synchronous product of three
-// machines: the protocol, the witness observer annotating its transitions,
-// and the protocol-independent checker consuming the annotations.  The
-// model checker needs four things from that product, uniformly: step it,
-// hash it (canonical key), and capture/restore it bit-faithfully (compact
-// frontier).  ProductComponent is that contract; Product composes the three
-// concrete components and drives every operation through one loop instead
-// of the three bespoke per-member code paths the engines used to hand-wire.
+// The verification object is the synchronous product of three machines: the
+// protocol, the witness observer annotating its transitions, and the
+// protocol-independent checker consuming the annotations.  Product owns all
+// three — the protocol's state vector, an Observer and an ScChecker, the
+// latter two absent in protocol-only mode — and every operation visits them
+// in the fixed order protocol, observer, checker.
 //
 // Key vs snapshot, deliberately distinct:
 //   * key()      — canonical, symmetry-reduced serialization for visited-
 //                  state hashing.  The observer renames live nodes into
-//                  discovery order and publishes the renaming through
-//                  KeyContext; the checker keys itself through the same map,
-//                  so components are keyed strictly in product order.
+//                  discovery order and publishes the renaming in
+//                  KeyScratch::id_canon; the checker keys itself through
+//                  the same map.
 //   * snapshot() — raw, bit-faithful capture (pool IDs, handle naming and
 //                  all); restore() of it yields a steppable product.  The
 //                  canonical form cannot do this: it erases naming on
 //                  purpose.
 //
-// Symbol distribution: each observer step's emitted symbols are broadcast
-// to the attached SymbolSinks — the checker is one sink among others
-// (recorder, statistics).  Sinks are observation-only and cannot veto; the
-// checker's verdict reaches the driver only because Product polls its
-// sticky rejected() state after delivering the step (see
-// descriptor/sink.hpp for the non-interference argument).
+// Symbol flow: each step's emitted symbols go to the checker through
+// ScChecker::feed_batch, then to the attached SymbolSinks (recorder,
+// statistics).  Sinks are observation-only and cannot veto (see
+// descriptor/sink.hpp); the step's outcome is the checker's verdict.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,186 +36,16 @@
 #include "descriptor/sink.hpp"
 #include "observer/observer.hpp"
 #include "protocol/protocol.hpp"
-#include "runlog/sinks.hpp"
 #include "util/byte_io.hpp"
 
 namespace scv {
 
-/// Shared context for one canonical-key pass: the observer fills id_canon
-/// (descriptor ID -> canonical node number), the checker reads it.
-struct KeyContext {
-  std::vector<GraphId> id_canon;
-};
-
-/// Reusable per-worker scratch for key(): the writer buffer and the key
-/// context.  Reusing both kills per-transition heap allocations.
+/// Reusable per-worker scratch for key(): the writer buffer and the
+/// observer's ID renaming (descriptor ID -> canonical node number), which
+/// the checker reads.  Reusing both kills per-transition heap allocations.
 struct KeyScratch {
   ByteWriter w;
-  KeyContext ctx;
-};
-
-/// One member of the product automaton.
-class ProductComponent {
- public:
-  virtual ~ProductComponent() = default;
-
-  /// Appends this component's canonical-key contribution to `w`.
-  /// Components are keyed in product order (protocol, observer, checker);
-  /// `ctx` carries the observer's ID renaming forward to the checker.
-  virtual void key(ByteWriter& w, KeyContext& ctx) const = 0;
-
-  /// Bit-faithful state capture; restore() is its inverse.  Only valid
-  /// between two components built over the same protocol and config.
-  virtual void snapshot(ByteWriter& w) const = 0;
-  virtual void restore(ByteReader& r) = 0;
-
-  /// Copies state from a same-shape component (same protocol and config).
-  virtual void assign_from(const ProductComponent& other) = 0;
-
-  /// Renames processors by `perm`, consistently across all components (the
-  /// protocol moves per-processor state, the observer moves its chains and
-  /// tracker entries through permute_loc, the checker its per-processor
-  /// bookkeeping).  The group action behind orbit canonicalization.
-  virtual void permute_procs(const ProcPerm& perm) = 0;
-
-  /// Appends a renaming-equivariant, naming-free signature of processor
-  /// `p`'s share of this component's state; the canonicalizer concatenates
-  /// the components' contributions to prune its permutation search.
-  virtual void proc_signature(ProcId p, ByteWriter& w) const = 0;
-
-  /// Called by Product::step before the transition is applied: resets the
-  /// component's touched-processor tracking for the new step.
-  virtual void begin_step() {}
-
-  /// Bitmask (bit p set) of processors whose proc_signature may differ
-  /// from its value before the most recent Product::step.  Only meaningful
-  /// immediately after a step (assign_from + step is the canonical usage);
-  /// conservative supersets are sound, and the default claims every
-  /// processor (DESIGN.md §13).
-  [[nodiscard]] virtual std::uint32_t touched_procs() const { return ~0u; }
-
- protected:
-  ProductComponent() = default;
-  ProductComponent(const ProductComponent&) = default;
-  ProductComponent& operator=(const ProductComponent&) = default;
-};
-
-/// The protocol's fixed-size state vector, adapted to the component
-/// contract.  Its key and snapshot coincide: the byte encoding is already
-/// canonical (the protocol framework requires it).
-class ProtocolComponent final : public ProductComponent {
- public:
-  explicit ProtocolComponent(const Protocol& protocol)
-      : protocol_(&protocol), state_(protocol.state_size()) {
-    protocol.initial_state(state_);
-  }
-
-  [[nodiscard]] std::span<const std::uint8_t> state() const noexcept {
-    return state_;
-  }
-  void enumerate(std::vector<Transition>& out) const {
-    protocol_->enumerate(state_, out);
-  }
-  void apply(const Transition& t) {
-    touched_ = protocol_->touched_procs(state_, t);  // mask of the pre-state
-    protocol_->apply(state_, t);
-  }
-
-  void key(ByteWriter& w, KeyContext& /*ctx*/) const override {
-    w.bytes(state_);
-  }
-  void snapshot(ByteWriter& w) const override { w.bytes(state_); }
-  void restore(ByteReader& r) override {
-    const auto v = r.view(state_.size());
-    std::copy(v.begin(), v.end(), state_.begin());
-    touched_ = ~0u;
-  }
-  void assign_from(const ProductComponent& other) override {
-    state_ = static_cast<const ProtocolComponent&>(other).state_;
-    touched_ = ~0u;
-  }
-  void permute_procs(const ProcPerm& perm) override {
-    protocol_->permute_procs(state_, perm);
-    touched_ = ~0u;
-  }
-  void proc_signature(ProcId p, ByteWriter& w) const override {
-    protocol_->proc_signature(state_, p, w);
-  }
-  void begin_step() override { touched_ = ~0u; }
-  [[nodiscard]] std::uint32_t touched_procs() const override {
-    return touched_;
-  }
-
- private:
-  const Protocol* protocol_;
-  std::vector<std::uint8_t> state_;
-  std::uint32_t touched_ = ~0u;
-};
-
-/// The Theorem 4.1 witness observer as a component.
-class ObserverComponent final : public ProductComponent {
- public:
-  ObserverComponent(const Protocol& protocol, const ObserverConfig& config)
-      : obs_(protocol, config) {}
-
-  [[nodiscard]] Observer& observer() noexcept { return obs_; }
-  [[nodiscard]] const Observer& observer() const noexcept { return obs_; }
-
-  void key(ByteWriter& w, KeyContext& ctx) const override {
-    obs_.serialize(w, &ctx.id_canon);
-  }
-  void snapshot(ByteWriter& w) const override { obs_.snapshot(w); }
-  void restore(ByteReader& r) override { obs_.restore(r); }
-  void assign_from(const ProductComponent& other) override {
-    obs_ = static_cast<const ObserverComponent&>(other).obs_;
-  }
-  void permute_procs(const ProcPerm& perm) override {
-    obs_.permute_procs(perm);
-  }
-  void proc_signature(ProcId p, ByteWriter& w) const override {
-    obs_.proc_signature(p, w);
-  }
-  // Observer::step resets its own mask, so begin_step needs no override.
-  [[nodiscard]] std::uint32_t touched_procs() const override {
-    return obs_.touched_procs();
-  }
-
- private:
-  Observer obs_;
-};
-
-/// The Theorem 3.1 checker as a component.  Keyed through the observer's
-/// renaming, so checker states differing only in slot/ID naming coincide.
-class CheckerComponent final : public ProductComponent {
- public:
-  explicit CheckerComponent(const ScCheckerConfig& config) : chk_(config) {}
-
-  [[nodiscard]] ScChecker& checker() noexcept { return chk_; }
-  [[nodiscard]] const ScChecker& checker() const noexcept { return chk_; }
-
-  void key(ByteWriter& w, KeyContext& ctx) const override {
-    chk_.serialize_canonical(w, ctx.id_canon);
-  }
-  void snapshot(ByteWriter& w) const override { chk_.snapshot(w); }
-  void restore(ByteReader& r) override { chk_.restore(r); }
-  void assign_from(const ProductComponent& other) override {
-    chk_ = static_cast<const CheckerComponent&>(other).chk_;
-  }
-  void permute_procs(const ProcPerm& perm) override {
-    chk_.permute_procs(perm);
-  }
-  void proc_signature(ProcId p, ByteWriter& w) const override {
-    chk_.proc_signature(p, w);
-  }
-  // The checker is fed a stream of symbols per product step, so the product
-  // owns the reset (ScChecker::feed cannot know where a step begins).
-  void begin_step() override { chk_.reset_touched(); }
-  [[nodiscard]] std::uint32_t touched_procs() const override {
-    return chk_.touched_procs();
-  }
-
- private:
-  ScChecker chk_;
+  std::vector<GraphId> id_canon;
 };
 
 /// Outcome of stepping the product by one transition.
@@ -232,7 +57,7 @@ enum class StepOutcome : std::uint8_t {
 };
 
 /// The composed product automaton.  Constructed in the initial state.
-/// Non-copyable (it holds internal wiring); state moves between same-shape
+/// Non-copyable (it holds sink wiring); state moves between same-shape
 /// products via assign_from or snapshot/restore.
 class Product {
  public:
@@ -248,22 +73,21 @@ class Product {
     return *protocol_;
   }
   [[nodiscard]] std::span<const std::uint8_t> protocol_state() const noexcept {
-    return proto_.state();
+    return state_;
   }
-  [[nodiscard]] Observer& observer() { return obs_->observer(); }
-  [[nodiscard]] const Observer& observer() const { return obs_->observer(); }
-  [[nodiscard]] const ScChecker& checker() const { return chk_->checker(); }
-  [[nodiscard]] bool with_observer() const noexcept { return obs_ != nullptr; }
+  [[nodiscard]] Observer& observer() { return *obs_; }
+  [[nodiscard]] const Observer& observer() const { return *obs_; }
+  [[nodiscard]] const ScChecker& checker() const { return *chk_; }
+  [[nodiscard]] bool with_observer() const noexcept { return obs_.has_value(); }
 
-  /// Attaches an additional observation-only sink (recorder, statistics).
-  /// The checker sink is always attached first, so it sees symbols in the
-  /// same order as before the pipeline existed.  Sinks are not copied by
+  /// Attaches an observation-only sink (recorder, statistics); sinks see
+  /// each step's symbols after the checker.  Sinks are not copied by
   /// assign_from: they are per-product wiring, not product state.
   void add_sink(SymbolSink* sink);
 
   /// Appends the transitions enabled in the current state to `out`.
   void enumerate(std::vector<Transition>& out) const {
-    proto_.enumerate(out);
+    protocol_->enumerate(state_, out);
   }
 
   /// True when stepping `t` can feed the observer/checker pipeline: memory
@@ -276,16 +100,17 @@ class Product {
   /// representative answers for the whole orbit.
   [[nodiscard]] bool transition_visible(const Transition& t) const;
 
-  /// Steps every component through transition `t`: protocol apply, observer
-  /// annotation, symbol broadcast to the sinks, checker verdict poll.
-  /// `symbols` is caller-provided scratch that receives the emitted symbols
-  /// (cleared first).  `action` frames the step for sinks that record run
-  /// structure; exploration passes the default empty view (computing action
-  /// names per transition would allocate in the hot loop).
+  /// Steps the product through transition `t`: protocol apply, observer
+  /// annotation, checker feed, then the symbols to the sinks.  `symbols` is
+  /// caller-provided scratch that receives the emitted symbols (cleared
+  /// first).  `action` frames the step for sinks that record run structure;
+  /// exploration passes the default empty view (computing action names per
+  /// transition would allocate in the hot loop).
   ///
   /// On Bound/Tracking the observer's partial emission is left in `symbols`
-  /// for diagnostics but NOT broadcast: a recorded trace contains complete
-  /// steps only, so its stream replays cleanly through an offline checker.
+  /// for diagnostics but reaches neither the checker nor the sinks: a
+  /// recorded trace contains complete steps only, so its stream replays
+  /// cleanly through an offline checker.
   StepOutcome step(const Transition& t, std::vector<Symbol>& symbols,
                    std::string_view action = {});
 
@@ -294,8 +119,7 @@ class Product {
   [[nodiscard]] std::span<const std::uint8_t> key(KeyScratch& ks) const;
 
   /// Bit-faithful whole-product capture/restore (the compact frontier's
-  /// entry payload) and same-shape state copy — each one uniform loop over
-  /// the components.
+  /// entry payload) and same-shape state copy.
   void snapshot(ByteWriter& w) const;
   void restore(ByteReader& r);
   void assign_from(const Product& other);
@@ -303,30 +127,35 @@ class Product {
   /// Failure diagnostics after a non-Ok step.
   [[nodiscard]] std::string failure_reason(StepOutcome outcome) const;
 
-  /// Renames processors across every component (the S_p group action the
-  /// orbit canonicalizer minimizes over).  Handles, pool IDs and slots are
-  /// deliberately untouched, so a permuted product emits the same descriptor
-  /// IDs when stepped — permute-then-step equals step-then-permute.
+  /// Renames processors across all three machines (the S_p group action the
+  /// orbit canonicalizer minimizes over): the protocol moves per-processor
+  /// state, the observer its chains and tracker entries, the checker its
+  /// per-processor bookkeeping.  Handles, pool IDs and slots are
+  /// deliberately untouched, so a permuted product emits the same
+  /// descriptor IDs when stepped — permute-then-step equals step-then-
+  /// permute.
   void permute_procs(const ProcPerm& perm);
 
-  /// Concatenates every component's renaming-equivariant signature of
-  /// processor `p` into `w` (the canonicalizer's search-pruning key).
+  /// Concatenates the three machines' renaming-equivariant, naming-free
+  /// signatures of processor `p` into `w` (the canonicalizer's search-
+  /// pruning key).
   void proc_signature(ProcId p, ByteWriter& w) const;
 
-  /// OR of every component's touched mask: processors whose proc_signature
-  /// may differ from before the most recent step().  Conservative supersets
-  /// are sound; restore/assign_from/permute poison it to all-ones.
+  /// Bitmask (bit p set) of processors whose proc_signature may differ from
+  /// before the most recent step(): the OR of the three machines' masks.
+  /// Only meaningful immediately after a step (assign_from + step is the
+  /// canonical usage); conservative supersets are sound, and restore,
+  /// assign_from and permute_procs poison it to all-ones (DESIGN.md §13).
   [[nodiscard]] std::uint32_t touched_procs() const;
 
  private:
   const Protocol* protocol_;
-  ProtocolComponent proto_;
-  std::unique_ptr<ObserverComponent> obs_;  ///< null in protocol-only mode
-  std::unique_ptr<CheckerComponent> chk_;   ///< null in protocol-only mode
-  std::unique_ptr<CheckerSink> chk_sink_;
-
-  std::array<ProductComponent*, 3> components_{};
-  std::size_t ncomponents_ = 0;
+  std::vector<std::uint8_t> state_;
+  /// Protocol::touched_procs of the last step's pre-state; all-ones until
+  /// the first step and after any whole-state write.
+  std::uint32_t state_touched_ = ~0u;
+  std::optional<Observer> obs_;   ///< empty in protocol-only mode
+  std::optional<ScChecker> chk_;  ///< empty in protocol-only mode
   std::vector<SymbolSink*> sinks_;
 };
 

@@ -9,9 +9,8 @@ namespace scv {
 namespace {
 
 /// Shared replay core: config vetting, optional excerpt-base restore, then
-/// steps delivered through the sink seam with the checker on its batch
-/// path.  `for_each_step` drives; returning false stops the replay (the
-/// streaming reader does this at end-of-trace or on a read error).
+/// each step fed to the checker with ScChecker::feed_batch and counted by
+/// the statistics sink.
 class Replayer {
  public:
   Replayer(const RunTrace& header, TraceCheckResult& result)
@@ -31,17 +30,16 @@ class Replayer {
       }
     }
     result_.ok = true;
-    check_sink_.emplace(*checker_);
     stats_sink_.emplace(static_cast<GraphId>(header.checker.k + 1));
   }
 
   [[nodiscard]] bool ok() const noexcept { return result_.ok; }
 
   void feed(const RunStep& step) {
-    SymbolSink* sinks[] = {&*check_sink_, &*stats_sink_};
-    for (SymbolSink* sink : sinks) sink->begin_step(step.action);
-    for (SymbolSink* sink : sinks) sink->on_batch(step.symbols);
-    for (SymbolSink* sink : sinks) sink->end_step();
+    (void)checker_->feed_batch(step.symbols);
+    stats_sink_->begin_step(step.action);
+    for (const Symbol& sym : step.symbols) stats_sink_->on_symbol(sym);
+    stats_sink_->end_step();
     ++result_.steps_fed;
     result_.symbols_fed += step.symbols.size();
   }
@@ -57,7 +55,6 @@ class Replayer {
  private:
   TraceCheckResult& result_;
   std::optional<ScChecker> checker_;
-  std::optional<CheckerSink> check_sink_;
   std::optional<SymbolStatsSink> stats_sink_;
 };
 

@@ -50,7 +50,7 @@ struct TraceCheckResult {
 [[nodiscard]] TraceCheckResult check_trace(const RunTrace& trace);
 
 /// Streaming variant: replays steps as `reader` hands them out, through the
-/// same sinks and the checker's batch path, so re-checking a multi-GB trace
+/// same checker feed and statistics sink, so re-checking a multi-GB trace
 /// needs memory for one step at a time.  The reader must be freshly opened
 /// and ok(); its header supplies the checker config (callers may override
 /// it in place first — scv_check --model does).  A reader error mid-stream

@@ -1,18 +1,16 @@
 // Standard SymbolSink implementations: the recorder (descriptor stream →
-// RunTrace), the statistics collector, and the adapter that makes the
-// ScChecker one sink among others on the pipeline.
+// RunTrace) and the statistics collector.
 //
-// All three are observation-only (see descriptor/sink.hpp): none can alter
-// the run it watches.  The checker influences the *driver* only through its
-// own sticky rejected() state, inspected after each step.
+// Both are observation-only (see descriptor/sink.hpp): neither can alter the
+// run it watches.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "checker/sc_checker.hpp"
 #include "descriptor/sink.hpp"
 #include "runlog/run_trace.hpp"
 
@@ -101,26 +99,6 @@ class SymbolStatsSink final : public SymbolSink {
   GraphId null_id_;
   std::uint64_t bound_ = 0;
   SymbolStats stats_;
-};
-
-/// The protocol-independent checker as a pipeline sink.  feed() is sticky
-/// after a reject, so the sink keeps consuming (letting the recorder capture
-/// the full failing step) while the driver polls rejected().
-class CheckerSink final : public SymbolSink {
- public:
-  explicit CheckerSink(ScChecker& checker) : checker_(&checker) {}
-
-  void on_symbol(const Symbol& sym) override { (void)checker_->feed(sym); }
-  void on_batch(std::span<const Symbol> syms) override {
-    (void)checker_->feed_batch(syms);
-  }
-
-  [[nodiscard]] const ScChecker& checker() const noexcept {
-    return *checker_;
-  }
-
- private:
-  ScChecker* checker_;
 };
 
 }  // namespace scv

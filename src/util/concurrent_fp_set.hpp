@@ -2,11 +2,12 @@
 //
 // The parallel model checker's workers deduplicate successor states *during*
 // expansion (dedup-before-materialize), so the visited set must accept
-// concurrent inserts without a coordinator.  This table keeps the flat
-// 16-byte-slot layout of `FingerprintSet` but makes the slot claim a CAS:
+// concurrent inserts without a coordinator.  The table is flat open
+// addressing with linear probing over 16-byte slots, and the slot claim is
+// a CAS:
 //
 //   * each slot is two 64-bit lanes {hi, lo}; probing starts from
-//     `hi & mask` (the same lane `FingerprintSet` probes from);
+//     `hi & mask`;
 //   * `hi == 0` means "empty": an inserter claims a slot by CASing hi from
 //     0 to its fingerprint's hi lane, then *publishes* the lo lane with a
 //     release store;

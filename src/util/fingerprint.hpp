@@ -32,8 +32,8 @@ struct Fingerprint {
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 
-  /// (0,0) is reserved as the empty-slot sentinel of FingerprintSet;
-  /// fingerprint128 never returns it.
+  /// fingerprint128 never returns (0,0), and ConcurrentFingerprintSet::
+  /// insert requires a non-zero fingerprint.
   [[nodiscard]] bool is_zero() const noexcept { return (lo | hi) == 0; }
 };
 
@@ -59,7 +59,7 @@ struct Fingerprint {
   h1 = mix64(h1 ^ tail);
   h2 = mix64_alt(h2 + tail);
   Fingerprint fp{h1, h2};
-  if (fp.is_zero()) fp.lo = 1;  // keep (0,0) reserved for "empty slot"
+  if (fp.is_zero()) fp.lo = 1;  // the visited store requires non-zero
   return fp;
 }
 

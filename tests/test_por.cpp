@@ -103,7 +103,8 @@ void reachable_keys(const Protocol& proto, bool reduced, std::size_t max_depth,
   Product cur(proto, ocfg, /*with_observer=*/true);
   Product succ(proto, ocfg, /*with_observer=*/true);
   ProcCanonicalizer canon(proto, /*enable=*/false);
-  AmpleSelector ample(proto, reduced);
+  const DeclaredPorOracle oracle(proto);
+  AmpleSelector ample(proto, oracle, reduced);
   KeyScratch ks;
 
   ByteWriter snap;
