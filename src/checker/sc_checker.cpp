@@ -702,24 +702,16 @@ void ScChecker::serialize_canonical(ByteWriter& w,
   sw.flush(w);
 }
 
-std::size_t ScChecker::snapshot_size() const noexcept {
-  // Mirrors serialize(): fixed header/chain/block sections, one byte per
-  // empty slot, a fixed-size record per active node.
-  std::size_t size = 1 + 3 * chain_count() + kMaxSlots +
-                     cfg_.blocks * (2 + cfg_.procs) +
-                     active_nodes() * (33 + cfg_.procs);
-  if (rules().store_chain) size += 3 * cfg_.procs;
-  return size;
-}
-
 void ScChecker::serialize(ByteWriter& w) const {
-  // Encoded into stack scratch and bulk-appended, like serialize_canonical:
-  // the raw dump is also the snapshot the compact frontier and the
-  // streaming service's quarantine path take, so its ~200 field writes ride
-  // the same one-memcpy pattern instead of a vector round-trip per byte.
+  // Live-slot layout: the fixed chain/block header, the used-slot mask,
+  // then one record per live slot in ascending slot order.  A directory
+  // walk holds ~3 live nodes out of 64 slots, so this is the compact-
+  // frontier payload's largest saving; the masks ride as varints because
+  // adjacency and ID sets are sparse.  Encoded into stack scratch and
+  // bulk-appended, like serialize_canonical.
   std::uint8_t scratch[1 + 3 * kMaxChains + 3 * kMaxProcs +
-                       kMaxBlocks * (2 + kMaxProcs) +
-                       kMaxSlots * (34 + kMaxProcs)];
+                       kMaxBlocks * (2 + kMaxProcs) + 10 +
+                       kMaxSlots * (39 + kMaxProcs)];
   ScratchWriter sw(scratch, sizeof scratch);
   sw.u8(rejected_ ? 1 : 0);
   for (std::size_t c = 0; c < chain_count(); ++c) {
@@ -745,18 +737,15 @@ void ScChecker::serialize(ByteWriter& w) const {
       sw.u8(static_cast<std::uint8_t>(pending_bottom_[b][p]));
     }
   }
-  for (const Node& n : nodes_) {
-    if (!n.in_use) {
-      sw.u8(0);
-      continue;
-    }
-    sw.u8(1);
+  sw.uvar(used_mask_);
+  for (std::uint64_t um = used_mask_; um != 0; um &= um - 1) {
+    const Node& n = nodes_[std::countr_zero(um)];
     sw.u8(static_cast<std::uint8_t>(n.op.kind));
     sw.u8(n.op.proc);
     sw.u8(n.op.block);
     sw.u8(n.op.value);
-    sw.u64(n.id_set);
-    sw.u64(n.out);
+    sw.uvar(n.id_set);
+    sw.uvar(n.out);
     sw.u8(static_cast<std::uint8_t>((n.po_in ? 1 : 0) | (n.po_out ? 2 : 0) |
                                     (n.sto_in ? 4 : 0) | (n.sto_out ? 8 : 0) |
                                     (n.inh_in ? 16 : 0) |
@@ -768,7 +757,7 @@ void ScChecker::serialize(ByteWriter& w) const {
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
       sw.u8(static_cast<std::uint8_t>(n.pending_ld[p]));
     }
-    sw.u64(n.forced_out);
+    sw.uvar(n.forced_out);
   }
   sw.flush(w);
 }
@@ -805,23 +794,28 @@ void ScChecker::restore(ByteReader& r) {
       pending_bottom_[b][p] = i8();
     }
   }
-  used_mask_ = 0;
+  // Free slots always hold a default Node (retire() resets them), so only
+  // the slots this checker had live need clearing.
+  const std::uint64_t used = r.uvar();
+  for (std::uint64_t gone = used_mask_ & ~used; gone != 0; gone &= gone - 1) {
+    nodes_[std::countr_zero(gone)] = Node{};
+  }
+  used_mask_ = used;
   for (std::size_t i = 0; i < kMaxSlots; ++i) id_slot_[i] = kNone;
-  for (std::size_t s = 0; s < kMaxSlots; ++s) {
+  for (std::uint64_t um = used; um != 0; um &= um - 1) {
+    const int s = std::countr_zero(um);
     Node& n = nodes_[s];
     n = Node{};
-    n.in_use = r.u8() != 0;
-    if (!n.in_use) continue;
-    used_mask_ |= 1ULL << s;
+    n.in_use = true;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
     n.op.block = r.u8();
     n.op.value = r.u8();
-    n.id_set = r.u64();
+    n.id_set = r.uvar();
     for (std::uint64_t ids = n.id_set; ids != 0; ids &= ids - 1) {
       id_slot_[std::countr_zero(ids)] = static_cast<std::int8_t>(s);
     }
-    n.out = r.u64();
+    n.out = r.uvar();
     const std::uint8_t f = r.u8();
     n.po_in = (f & 1) != 0;
     n.po_out = (f & 2) != 0;
@@ -834,7 +828,7 @@ void ScChecker::restore(ByteReader& r) {
     n.forced_target = i8();
     n.pending_for = i8();
     for (std::size_t p = 0; p < cfg_.procs; ++p) n.pending_ld[p] = i8();
-    n.forced_out = r.u64();
+    n.forced_out = r.uvar();
   }
   touched_ = ~0u;  // arbitrary new state: no step to be relative to
 }
@@ -845,7 +839,9 @@ bool ScChecker::try_restore(std::span<const std::uint8_t> bytes,
   // path's internal assertions (pending-load liveness, a free slot always
   // existing) hold for every state the checker can reach; a forged
   // base_state could violate them and turn a bad file into an abort, so
-  // everything those assertions rely on is checked here first.
+  // everything those assertions rely on is checked here first.  Every
+  // field is range-checked and varints must be canonical, so an accepted
+  // buffer is exactly what serialize() writes for the restored state.
   TryReader r(bytes);
   const auto fail = [&](const char* what) {
     error = what;
@@ -896,24 +892,20 @@ bool ScChecker::try_restore(std::span<const std::uint8_t> bytes,
     }
   }
 
-  std::uint64_t seen_ids = 0;
   std::uint64_t used = 0;
+  if (!r.uvar(used)) return fail("truncated used-slot mask");
+  std::uint64_t seen_ids = 0;
   std::uint64_t pending_refs = 0;
-  for (std::size_t s = 0; s < kMaxSlots; ++s) {
-    std::uint8_t in_use = 0;
-    if (!r.u8(in_use)) return fail("truncated node record");
-    if (in_use > 1) return fail("bad node in-use flag");
-    if (in_use == 0) continue;
-    used |= 1ULL << s;
+  for (std::uint64_t um = used; um != 0; um &= um - 1) {
     std::uint8_t kind = 0;
     std::uint8_t proc = 0;
     std::uint8_t block = 0;
     std::uint8_t value = 0;
     std::uint64_t id_set = 0;
-    std::uint64_t out = 0;
+    std::uint64_t mask = 0;
     std::uint8_t flags = 0;
     if (!r.u8(kind) || !r.u8(proc) || !r.u8(block) || !r.u8(value) ||
-        !r.u64(id_set) || !r.u64(out) || !r.u8(flags)) {
+        !r.uvar(id_set) || !r.uvar(mask) || !r.u8(flags)) {
       return fail("truncated node record");
     }
     if (kind > 1 || proc >= cfg_.procs || block >= cfg_.blocks ||
@@ -950,7 +942,7 @@ bool ScChecker::try_restore(std::span<const std::uint8_t> bytes,
       if (!slot_ref(pl)) return fail("bad pending-load reference");
       if (static_cast<std::int8_t>(pl) != kNone) pending_refs |= 1ULL << pl;
     }
-    if (!r.u64(out)) return fail("truncated node record");  // forced_out
+    if (!r.uvar(mask)) return fail("truncated node record");  // forced_out
   }
   if (!r.done()) return fail("trailing bytes after the snapshot");
   if ((pending_refs & ~used) != 0) {

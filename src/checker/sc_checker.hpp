@@ -89,8 +89,11 @@ class ScChecker {
 
   [[nodiscard]] std::size_t active_nodes() const noexcept;
 
-  /// Raw state serialization (slot order, raw IDs).  Deterministic for a
+  /// Raw state serialization (raw slots and IDs).  Deterministic for a
   /// given symbol stream, but *not* canonical across isomorphic states.
+  /// Live-slot layout: the chain and block header, the used-slot mask as a
+  /// varint, then one record per live slot in ascending slot order, with
+  /// the ID set, adjacency and forced-edge masks as varints.
   void serialize(ByteWriter& w) const;
 
   /// Canonical serialization for model-checking product hashing: node slots
@@ -111,27 +114,25 @@ class ScChecker {
                            const ProcPerm* perm = nullptr) const;
 
   /// serialize() is already a raw, faithful dump of every mutable field, so
-  /// the compact-frontier snapshot is the same encoding; restore() is its
-  /// inverse.  Only valid between two checkers built from the same config.
-  /// Neither allocates when the caller reuses the ByteWriter (clear() keeps
+  /// one encoding serves the compact frontier, the service's window
+  /// snapshots and run-trace excerpt bases; restore() is its inverse.  Only
+  /// valid between two checkers built from the same config.  Neither
+  /// allocates when the caller reuses the ByteWriter (clear() keeps
   /// capacity) — the service snapshots checkers on every quarantine window
   /// rotation, so this path must stay allocation-free in steady state.
   void snapshot(ByteWriter& w) const { serialize(w); }
   void restore(ByteReader& r);
 
-  /// Exact byte length of snapshot()/serialize() for this config; callers
-  /// sizing fixed buffers (excerpt snapshots, frontier entries) use this
-  /// instead of guessing.
-  [[nodiscard]] std::size_t snapshot_size() const noexcept;
-
   /// Validating restore for *untrusted* snapshot bytes (a run-trace
   /// excerpt's base_state crosses a file trust boundary, unlike the model
   /// checker's in-process frontier entries).  Checks structure before
-  /// mutating anything: exact length, slot references confined to
-  /// {kNone, kGone} ∪ [0, kMaxSlots), operation labels within the config's
-  /// ranges, non-empty pairwise-disjoint ID sets per active node, and
-  /// pending-load references pointing at active slots (the invariants the
-  /// aborting feed-path assertions rely on).  On success delegates to
+  /// mutating anything: exact length, canonical varints, flag bytes within
+  /// their bits, slot references confined to {kNone, kGone} ∪
+  /// [0, kMaxSlots), operation labels within the config's ranges, non-empty
+  /// pairwise-disjoint ID sets per active node, and pending-load references
+  /// pointing at active slots (the invariants the aborting feed-path
+  /// assertions rely on).  An accepted buffer is byte for byte what
+  /// serialize() writes for the restored state.  On success delegates to
   /// restore(); on failure leaves the checker untouched and explains why.
   [[nodiscard]] bool try_restore(std::span<const std::uint8_t> bytes,
                                  std::string& error);

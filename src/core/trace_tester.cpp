@@ -48,8 +48,11 @@ TraceTestResult trace_test(const Protocol& protocol,
   protocol.initial_state(state);
   Observer obs(protocol, options.observer);
   const auto& pr = protocol.params();
-  ScChecker chk(
-      ScCheckerConfig{obs.bandwidth(), pr.procs, pr.blocks, pr.values});
+  // The same checker config Product's constructor builds: the observer's
+  // bandwidth and memory model, so a tso or coherence observer is checked
+  // under its own rules.
+  ScChecker chk(ScCheckerConfig{obs.bandwidth(), pr.procs, pr.blocks,
+                                pr.values, options.observer.model});
 
   std::vector<Transition> transitions;
   std::vector<Transition> memory_ops;

@@ -79,7 +79,7 @@ class LevelShard {
     std::uint32_t pos = 0;
     std::uint32_t idx = 0;
     /// The minimum-rank discoverer is not the claimer: the state's Meta
-    /// (parent, via) must be rewritten to the winner's.
+    /// (parent, ti) must be rewritten to the winner's.
     [[nodiscard]] bool contested() const noexcept { return best < claimed; }
   };
 

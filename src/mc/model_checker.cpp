@@ -56,9 +56,13 @@ std::string McResult::summary() const {
 
 namespace {
 
+/// A stored state's BFS tree link: its parent's state index and the index
+/// of its transition in the parent's enumerate() order (the ti of its
+/// rank).  replay() re-derives the transition by enumerating the same
+/// canonical parent, so the link stays eight bytes.
 struct Meta {
   std::uint32_t parent = 0;
-  Transition via{};
+  std::uint32_t ti = 0;
 };
 
 /// Expected distinct-state count used to pre-size the visited store and
@@ -310,6 +314,13 @@ void append_entry(std::uint32_t idx, const Product& p, FrontierBatch& b,
   p.snapshot(w);
 }
 
+/// The state index an entry starts with: the parent link of every state
+/// discovered from it.
+std::uint32_t entry_index(std::span<const std::uint8_t> blob) {
+  ByteReader r(blob);
+  return r.u32();
+}
+
 std::uint32_t restore_entry(std::span<const std::uint8_t> blob, Product& p,
                             PreemptState* ps = nullptr) {
   ByteReader r(blob);
@@ -335,26 +346,30 @@ struct ReplayOutput {
 /// terminal failure reason, and — when `record` — the RunTrace step body
 /// via a recorder sink on the same pipeline.
 ///
-/// Under symmetry reduction the path's transitions are relative to *orbit
-/// representatives*: exploration canonicalized every successor before
-/// storing it, so t_i is enabled in the canonical state s_{i-1}, not in the
-/// concrete state the un-permuted run reaches.  The replay therefore drives
-/// two products:
+/// `path` holds transition *indices*: ti_i is the position of step i's
+/// transition t_i in the enumerate() order of the state exploration
+/// expanded, s_{i-1}.  Exploration canonicalized every successor before
+/// storing it, so under symmetry reduction s_{i-1} is an *orbit
+/// representative*, not the concrete state the un-permuted run reaches.
+/// The replay therefore drives two products:
 ///
+///   * a shadow product s that repeats exploration's exact sequence —
+///     enumerate s_{i-1} and take t_i at ti_i, step with t_i, canonicalize
+///     obtaining π_i — which re-derives each transition and tracks the
+///     cumulative renaming σ_i = σ_{i-1}·π_i with s_i = σ_i(c_i);
 ///   * the concrete product c, stepped with u_i = σ_{i-1}⁻¹(t_i), which is
 ///     a genuine run of the protocol from its true initial state (this is
-///     what gets recorded — the trace re-checks offline like any other);
-///   * a shadow product s that repeats exploration's exact sequence —
-///     step with t_i, canonicalize obtaining π_i — purely to track the
-///     cumulative renaming σ_i = σ_{i-1}·π_i with s_i = σ_i(c_i).
+///     what gets recorded — the trace re-checks offline like any other).
 ///
 /// σ exists because processor permutations are bisimulations: t enabled in
 /// σ(c) implies σ⁻¹(t) enabled in c with step(c, σ⁻¹(t)) = σ⁻¹(step(σ(c),
 /// t)).  The shadow is byte-faithful to exploration (same deterministic
-/// construction, steps and canonicalizer), so the π_i match the ones
-/// exploration chose.  The final failing step needs no shadow work.
+/// construction, steps and canonicalizer), so its enumerations and the π_i
+/// match the ones exploration saw.  Without symmetry σ stays the identity
+/// and the shadow runs in step with c.  The final failing step needs no
+/// shadow step.
 ReplayOutput replay(const Protocol& proto, const McOptions& opt,
-                    const std::vector<Transition>& path, bool record) {
+                    const std::vector<std::uint32_t>& path, bool record) {
   ReplayOutput out;
   Product p(proto, opt.observer, !opt.protocol_only);
   if (p.with_observer()) out.checker = p.checker().config();
@@ -365,14 +380,18 @@ ReplayOutput replay(const Protocol& proto, const McOptions& opt,
   ProcCanonicalizer canon(proto, opt.symmetry_reduction);
   Product shadow(proto, opt.observer, !opt.protocol_only);
   std::vector<Symbol> shadow_symbols;
+  std::vector<Transition> enabled;
   KeyScratch shadow_key;
   ProcPerm sigma = ProcPerm::identity(proto.params().procs);
   if (canon.active()) canon.canonicalize_key(shadow, shadow_key, &sigma);
 
   for (std::size_t i = 0; i < path.size(); ++i) {
+    enabled.clear();
+    shadow.enumerate(enabled);
+    SCV_ASSERT(path[i] < enabled.size());
+    const Transition& t = enabled[path[i]];
     const Transition u =
-        canon.active() ? proto.permute_transition(path[i], sigma.inverse())
-                       : path[i];
+        canon.active() ? proto.permute_transition(t, sigma.inverse()) : t;
     const std::string action = proto.action_name(u.action);
     const StepOutcome outcome = p.step(u, symbols, action);
     out.steps.push_back({action, symbols});
@@ -380,35 +399,35 @@ ReplayOutput replay(const Protocol& proto, const McOptions& opt,
       out.reason = p.failure_reason(outcome);
       break;
     }
-    if (canon.active() && i + 1 < path.size()) {
-      shadow.step(path[i], shadow_symbols);
-      ProcPerm pi;
-      canon.canonicalize_key(shadow, shadow_key, &pi);
-      sigma = sigma.then(pi);
+    if (i + 1 < path.size()) {
+      shadow.step(t, shadow_symbols);
+      if (canon.active()) {
+        ProcPerm pi;
+        canon.canonicalize_key(shadow, shadow_key, &pi);
+        sigma = sigma.then(pi);
+      }
     }
   }
   if (record) out.recorded = recorder.take();
   return out;
 }
 
-/// `MetaStore` is MetaArena or anything else indexable by state number.
-template <typename MetaStore>
-std::vector<Transition> path_to(const MetaStore& meta, std::uint32_t idx,
-                                const Transition* final_step) {
-  std::vector<Transition> path;
+/// The transition indices from the initial state to state `idx`, then
+/// `final_ti` (replay's input).
+std::vector<std::uint32_t> path_to(const MetaArena& meta, std::uint32_t idx,
+                                   std::uint32_t final_ti) {
+  std::vector<std::uint32_t> path{final_ti};
   for (std::uint32_t i = idx; i != 0; i = meta[i].parent) {
-    path.push_back(meta[i].via);
+    path.push_back(meta[i].ti);
   }
   std::reverse(path.begin(), path.end());
-  if (final_step != nullptr) path.push_back(*final_step);
   return path;
 }
 
-template <typename MetaStore>
 McResult finish_failure(const Protocol& proto, const McOptions& opt,
                         McResult result, StepOutcome outcome,
-                        const MetaStore& meta, std::uint32_t parent,
-                        const Transition& via) {
+                        const MetaArena& meta, std::uint32_t parent,
+                        std::uint32_t final_ti) {
   switch (outcome) {
     case StepOutcome::Reject:
       result.verdict = McVerdict::Violation;
@@ -422,7 +441,7 @@ McResult finish_failure(const Protocol& proto, const McOptions& opt,
     case StepOutcome::Ok:
       SCV_UNREACHABLE("finish_failure on Ok outcome");
   }
-  const auto path = path_to(meta, parent, &via);
+  const auto path = path_to(meta, parent, final_ti);
   ReplayOutput rep = replay(proto, opt, path, opt.record_counterexample);
   result.reason = std::move(rep.reason);
   result.counterexample = std::move(rep.steps);
@@ -727,7 +746,6 @@ struct Failure {
   std::size_t item = 0;  ///< the failing entry's position in the work list
   StepOutcome outcome = StepOutcome::Ok;
   std::uint32_t parent = 0;
-  Transition via{};
   /// The entry's transitions up to and including the failing one.
   std::uint64_t expanded = 0;
 };
@@ -772,7 +790,7 @@ struct ProvisoDecision {
 // that order by construction, so a run reports the same verdict, counts and
 // counterexample at every thread count:
 //
-//   * each state's Meta (parent, via) comes from its minimum-rank
+//   * each state's Meta (parent, ti) comes from its minimum-rank
 //     discoverer — the level barrier resolves the workers' claim and
 //     duplicate logs and rewrites Meta where another worker's claim won the
 //     race;
@@ -1160,7 +1178,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
         const StepOutcome outcome = ws.succ.step(t, ws.symbols);
         if (outcome != StepOutcome::Ok) {
           // The failing transition counts.
-          ws.failure = {rank, k, outcome, ws.cur_idx, t, expanded};
+          ws.failure = {rank, k, outcome, ws.cur_idx, expanded};
           Rank seen = fail_rank.load(std::memory_order_relaxed);
           while (rank < seen &&
                  !fail_rank.compare_exchange_weak(seen, rank,
@@ -1229,7 +1247,7 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
               states.fetch_add(1, std::memory_order_relaxed);
           Meta& m = meta.slot(idx);
           m.parent = ws.cur_idx;
-          m.via = t;
+          m.ti = static_cast<std::uint32_t>(ti);
           if (logging) {
             ws.claims[rank_partition(fp, nparts)].push_back(
                 {fp, rank, static_cast<std::uint32_t>(ws.out.size()),
@@ -1459,7 +1477,8 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
     fill_store_stats(result, visited);
     result.seconds = elapsed();
     return finish_failure(proto, opt, std::move(result), f->outcome, meta,
-                          f->parent, f->via);
+                          f->parent,
+                          static_cast<std::uint32_t>(rank_ti(f->rank)));
   };
 
   while (frontier_entries > 0) {
@@ -1483,22 +1502,18 @@ McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
 
     if (ranked) {
       // Rewrite Meta where another worker's claim beat the minimum-rank
-      // discoverer (its transition comes from re-enumerating the winner's
-      // parent; the claimer's snapshot stays — it is key-equal), then
-      // order each partition by rank for the next frontier.
+      // discoverer: the winner's rank names its parent's frontier entry
+      // (whose first four bytes are the parent's index) and its transition
+      // index.  The claimer's snapshot stays — it is key-equal.  Then order
+      // each partition by rank for the next frontier.
       const std::size_t nphases = fallbacks.empty() ? 1 : 2;
       pool.run_on_all([&](std::size_t p) {
-        Worker& ws = *workers[p];
         for (std::size_t ph = 0; ph < nphases; ++ph) {
           for (const LevelShard::State& s : shards[ph][p].states()) {
             if (!s.contested()) continue;
-            const std::uint32_t parent = restore_entry(
-                entry(rank_gi(s.best)), ws.cur, preempt ? &ws.ps : nullptr);
-            ws.transitions.clear();
-            ws.cur.enumerate(ws.transitions);
             Meta& m = meta.slot(s.idx);
-            m.parent = parent;
-            m.via = ws.transitions[rank_ti(s.best)];
+            m.parent = entry_index(entry(rank_gi(s.best)));
+            m.ti = static_cast<std::uint32_t>(rank_ti(s.best));
           }
           shards[ph][p].sort_by_rank();
         }

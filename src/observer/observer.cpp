@@ -544,38 +544,55 @@ std::size_t Observer::state_bytes() const {
 }
 
 void Observer::snapshot(ByteWriter& w) const {
+  // Raw handles and pool IDs, then a live-node mask (bit h-1 for handle h)
+  // and records for live nodes only: free handles hold default nodes, so
+  // the mask is all restore() needs to rebuild them.  Encoded into stack
+  // scratch and bulk-appended like serialize(); every varint below is a
+  // uint32 or smaller (<= 5 bytes) except peak_live_ and the mask.
   const auto& pr = protocol_->params();
-  tracker_.serialize(w);
-  w.u64(pool_free_);
-  w.uvar(peak_live_);
-  for (std::size_t c = 0; c < chain_count(); ++c) w.uvar(last_op_[c]);
+  std::uint8_t scratch[5 * (kMaxLocations + 1) + 8 + 2 * 10 +
+                       5 * kMaxObsProcs * (kMaxObsBlocks + 1) +
+                       kMaxObsBlocks * (11 + 5 * kMaxObsProcs) +
+                       kMaxBandwidth * (31 + 5 * kMaxObsProcs)];
+  ScratchWriter sw(scratch, sizeof scratch);
+  for (std::size_t l = 0; l < tracker_.locations(); ++l) {
+    sw.uvar(tracker_.at(static_cast<LocId>(l)));
+  }
+  sw.u64(pool_free_);
+  sw.uvar(peak_live_);
+  for (std::size_t c = 0; c < chain_count(); ++c) sw.uvar(last_op_[c]);
   if (rules().store_chain) {  // TSO only: SC encoding stays byte-stable
-    for (std::size_t p = 0; p < pr.procs; ++p) w.uvar(last_st_[p]);
+    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(last_st_[p]);
   }
   for (std::size_t b = 0; b < pr.blocks; ++b) {
-    w.uvar(sto_tail_[b]);
-    w.uvar(root_[b]);
-    w.u8(root_gone_[b] ? 1 : 0);
+    sw.uvar(sto_tail_[b]);
+    sw.uvar(root_[b]);
+    sw.u8(root_gone_[b] ? 1 : 0);
     for (std::size_t p = 0; p < pr.procs; ++p) {
-      w.uvar(pending_bottom_[b][p]);
+      sw.uvar(pending_bottom_[b][p]);
     }
   }
-  for (const Node& n : nodes_) {
-    w.u8(n.in_use ? 1 : 0);
-    if (!n.in_use) continue;
-    w.u8(static_cast<std::uint8_t>(n.op.kind));
-    w.u8(n.op.proc);
-    w.u8(n.op.block);
-    w.u8(n.op.value);
-    w.uvar(n.pool_id);
-    w.uvar(n.copies);
-    w.u8(n.serialized ? 1 : 0);
-    w.uvar(n.sto_succ);
-    w.uvar(n.sto_pred);
-    for (std::size_t p = 0; p < pr.procs; ++p) w.uvar(n.pending_ld[p]);
-    w.uvar(n.pending_for);
-    w.u8(n.bottom_pending ? 1 : 0);
+  std::uint64_t live = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].in_use) live |= 1ULL << i;
   }
+  sw.uvar(live);
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    const Node& n = nodes_[std::countr_zero(m)];
+    sw.u8(static_cast<std::uint8_t>(n.op.kind));
+    sw.u8(n.op.proc);
+    sw.u8(n.op.block);
+    sw.u8(n.op.value);
+    sw.uvar(n.pool_id);
+    sw.uvar(n.copies);
+    sw.u8(n.serialized ? 1 : 0);
+    sw.uvar(n.sto_succ);
+    sw.uvar(n.sto_pred);
+    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(n.pending_ld[p]);
+    sw.uvar(n.pending_for);
+    sw.u8(n.bottom_pending ? 1 : 0);
+  }
+  sw.flush(w);
 }
 
 void Observer::permute_procs(const ProcPerm& perm) {
@@ -705,10 +722,13 @@ void Observer::restore(ByteReader& r) {
       pending_bottom_[b][p] = static_cast<NodeHandle>(r.uvar());
     }
   }
-  for (Node& n : nodes_) {
+  const std::uint64_t live = r.uvar();
+  SCV_EXPECTS(nodes_.size() >= 64 || (live >> nodes_.size()) == 0);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Node& n = nodes_[i];
     n = Node{};
-    n.in_use = r.u8() != 0;
-    if (!n.in_use) continue;
+    if (((live >> i) & 1) == 0) continue;
+    n.in_use = true;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
     n.op.block = r.u8();

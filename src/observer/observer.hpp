@@ -139,12 +139,13 @@ class Observer {
   /// Size in bytes of the serialized extra state (Section 4.4 comparison).
   [[nodiscard]] std::size_t state_bytes() const;
 
-  /// Raw, faithful snapshot of the mutable state (tracker, node table with
-  /// real handles and pool IDs, chain/block anchors, free mask).  Unlike
-  /// serialize() — which canonicalizes names and drops pool bookkeeping on
-  /// purpose — restore() of a snapshot reproduces the observer bit-for-bit,
-  /// which is what the model checker's compact frontier needs.  Only valid
-  /// between two observers constructed over the same protocol and config.
+  /// Raw, faithful snapshot of the mutable state (tracker, chain/block
+  /// anchors, free mask, then a live-node mask and the records of live
+  /// nodes with their real handles and pool IDs).  Unlike serialize() —
+  /// which canonicalizes names and drops pool bookkeeping on purpose —
+  /// restore() of a snapshot reproduces the observer bit-for-bit, which is
+  /// what the model checker's compact frontier needs.  Only valid between
+  /// two observers constructed over the same protocol and config.
   void snapshot(ByteWriter& w) const;
   void restore(ByteReader& r);
 

@@ -76,12 +76,8 @@ class StIndexTracker {
     std::copy(index.begin(), index.end(), index_.begin());
   }
 
-  void serialize(ByteWriter& w) const {
-    for (std::uint32_t h : index_) w.uvar(h);
-  }
-
-  /// Inverse of serialize() over the same location count; used by the
-  /// compact-frontier restore path.
+  /// Reads one varint handle per location, the tracker section of
+  /// Observer::snapshot; used by the compact-frontier restore path.
   void restore(ByteReader& r) {
     for (std::uint32_t& h : index_) h = static_cast<std::uint32_t>(r.uvar());
   }

@@ -18,6 +18,65 @@ void write_str(ByteWriter& w, const std::string& s) {
   w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
+/// Rewrites a version-3 excerpt base (ScChecker's all-slot layout: an
+/// in-use byte for each of 64 slots, fixed-width masks) into the live-slot
+/// layout ScChecker::try_restore reads.  Purely structural: the chain and
+/// block header is copied, the in-use bytes become one mask, and each live
+/// record's ID set, adjacency and forced-edge masks turn from u64 into
+/// varints.  Field values are left for try_restore to validate.
+bool rewrite_v3_base(const ScCheckerConfig& cfg,
+                     std::vector<std::uint8_t>& base, std::string& error) {
+  constexpr std::size_t kV3Slots = 64;
+  const ModelRules rules = cfg.model.rules();
+  const std::size_t chains =
+      rules.per_block_chains ? cfg.procs * cfg.blocks : cfg.procs;
+  const std::size_t header = 1 + 3 * chains +
+                             (rules.store_chain ? 3 * cfg.procs : 0) +
+                             cfg.blocks * (2 + cfg.procs);
+  const auto fail = [&](const char* what) {
+    error = std::string("bad version-3 excerpt base: ") + what;
+    return false;
+  };
+  if (base.size() < header) return fail("truncated header");
+  TryReader r(std::span<const std::uint8_t>(base).subspan(header));
+  ByteWriter records;
+  const auto copy_bytes = [&](std::size_t n) {
+    std::uint8_t b = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!r.u8(b)) return false;
+      records.u8(b);
+    }
+    return true;
+  };
+  const auto mask_to_uvar = [&] {
+    std::uint64_t mask = 0;
+    if (!r.u64(mask)) return false;
+    records.uvar(mask);
+    return true;
+  };
+  std::uint64_t used = 0;
+  for (std::size_t s = 0; s < kV3Slots; ++s) {
+    std::uint8_t in_use = 0;
+    if (!r.u8(in_use)) return fail("truncated slot table");
+    if (in_use > 1) return fail("bad slot in-use byte");
+    if (in_use == 0) continue;
+    used |= 1ULL << s;
+    // op (4 bytes) | id_set | out | flags + 4 slot refs | pending loads |
+    // forced_out
+    if (!copy_bytes(4) || !mask_to_uvar() || !mask_to_uvar() ||
+        !copy_bytes(5 + cfg.procs) || !mask_to_uvar()) {
+      return fail("truncated node record");
+    }
+  }
+  if (!r.done()) return fail("trailing bytes");
+  ByteWriter out;
+  out.bytes(std::span<const std::uint8_t>(base).first(header));
+  out.uvar(used);
+  out.bytes(records.data());
+  base = std::move(out).take();
+  return true;
+}
+
 }  // namespace
 
 void write_symbol(ByteWriter& w, const Symbol& sym) {
@@ -111,7 +170,7 @@ void write_trace_header(const RunTrace& trace, std::size_t nsteps,
                         ByteWriter& w) {
   w.bytes(kMagic);
   // Full recordings stay on version 2 so the artifact bytes are unchanged;
-  // only excerpts (which need the base to replay) opt into version 3.
+  // only excerpts (which need the base to replay) use the newest version.
   w.u16(trace.has_base() ? RunTrace::kMaxVersion : RunTrace::kVersion);
   write_str(w, trace.protocol);
   w.uvar(trace.checker.k);
@@ -216,6 +275,12 @@ bool parse_trace_header(TryReader& r, RunTrace& trace, std::uint64_t& nsteps,
     trace.base_state.resize(static_cast<std::size_t>(base_len));
     for (std::uint8_t& b : trace.base_state) {
       if (!r.u8(b)) return fail("truncated excerpt base");
+    }
+    // Version 3 wrote the checker's all-slot layout; nothing past this
+    // point sees it.
+    if (version == 3 && !trace.base_state.empty() &&
+        !rewrite_v3_base(trace.checker, trace.base_state, error)) {
+      return false;
     }
   }
 

@@ -32,18 +32,38 @@
 // and the parser folds a set byte into MemoryModel::coherence() (an error
 // next to a tso or +bpN tag), so nothing past the header ever sees it.
 //
-// Version 3 adds an *optional* excerpt base: when the recorded steps are a
-// suffix of a longer run (the streaming service's quarantine excerpts keep
-// only a bounded window), the header carries the checker snapshot taken at
-// the window start plus the count of dropped earlier steps, so the excerpt
-// replays to the same verdict a full recording would.  Extra v3 header
+// Versions 3 and 4 add an *optional* excerpt base: when the recorded steps
+// are a suffix of a longer run (the streaming service's quarantine excerpts
+// keep only a bounded window), the header carries the checker snapshot
+// taken at the window start plus the count of dropped earlier steps, so the
+// excerpt replays to the same verdict a full recording would.  Extra header
 // fields (after reason): uvar dropped_steps | uvar base length | raw
 // checker-snapshot bytes.  Traces with no base (dropped_steps == 0, empty
 // base_state) are still written as version 2, byte-identical to before.
 //
+// The two versions differ only in the base's layout.  Version 4 (written
+// today) holds ScChecker::serialize's live-slot layout:
+//
+//   base   = u8 reject flag | chain records (3 bytes each) |
+//            [store-chain records, 3 bytes per proc, tso only] |
+//            block records (2 + procs bytes each) | uvar used-slot mask |
+//            node record per set mask bit, ascending
+//   node   = u8 kind | u8 proc | u8 block | u8 value | uvar id_set |
+//            uvar out | u8 flags | u8 sto_succ | u8 inh_src |
+//            u8 forced_target | u8 pending_for | u8 pending_ld × procs |
+//            uvar forced_out
+//
+// Version 3 wrote an in-use byte for each of 64 slots in place of the mask,
+// a node record after each set byte, and the three masks as fixed u64.
+// parse_trace_header rewrites a version-3 base into the version-4 layout,
+// as it folds the legacy coherence byte into the model, so nothing past the
+// parser sees the old layout.
+//
 // Parsing is total: a malformed or truncated buffer yields an error string,
 // never an abort — traces cross trust boundaries (files on disk, CI
 // artifacts), unlike the in-memory snapshots the model checker round-trips.
+// Parse then serialize reproduces the input bytes, with one exception: a
+// version-3 trace reserializes as version 4, with the rewritten base.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +103,11 @@ struct RunTrace {
   /// Oldest version parse_run_trace still accepts (see the format comment:
   /// version 1 lacks the model tag and re-checks as SC).
   static constexpr std::uint16_t kMinVersion = 1;
-  /// Newest version: 3 carries the optional excerpt base.  Full recordings
-  /// still serialize as kVersion (2); only traces with a base use 3.
-  static constexpr std::uint16_t kMaxVersion = 3;
+  /// Newest version: 4 carries the optional excerpt base in the live-slot
+  /// layout (3 carried it in the all-slot layout and still parses).  Full
+  /// recordings still serialize as kVersion (2); only traces with a base
+  /// use 4.
+  static constexpr std::uint16_t kMaxVersion = 4;
 
   // --- Header: provenance and the offline checker's configuration.
   std::string protocol;      ///< protocol name the run was recorded from
@@ -93,7 +115,7 @@ struct RunTrace {
   RunVerdict verdict = RunVerdict::Accepted;  ///< verdict at capture time
   std::string reason;        ///< failure reason at capture ("" if accepted)
 
-  // --- Excerpt base (version 3; empty for full recordings).  When
+  // --- Excerpt base (versions 3 and 4; empty for full recordings).  When
   // non-empty, `base_state` is an ScChecker snapshot to restore *before*
   // feeding `steps`, and `dropped_steps` counts the earlier steps the
   // excerpt omitted.  Untrusted on read: replayers must go through
@@ -140,8 +162,9 @@ void write_trace_header(const RunTrace& trace, std::size_t nsteps,
                         ByteWriter& w);
 void write_trace_step(const RunStep& step, ByteWriter& w);
 
-/// Parses magic, version, header fields (including the v3 excerpt base) and
-/// the step count; on success the cursor rests at the first step record.
+/// Parses magic, version, header fields (including the excerpt base, a
+/// version-3 base rewritten into the live-slot layout) and the step count;
+/// on success the cursor rests at the first step record.
 [[nodiscard]] bool parse_trace_header(TryReader& r, RunTrace& header,
                                       std::uint64_t& nsteps,
                                       std::string& error);

@@ -29,6 +29,9 @@ TraceStreamReader::TraceStreamReader(const std::string& path) {
             (buf_.size() - pos_);
         if (nsteps > available) fail("step count exceeds buffer");
       }
+      // A zero-step trace ends at its header; next() never runs the
+      // clean-end check for it, so run it here.
+      if (nsteps == 0) check_clean_end();
       return;
     }
     if (eof_) {
@@ -63,6 +66,17 @@ bool TraceStreamReader::refill() {
   return true;
 }
 
+bool TraceStreamReader::check_clean_end() {
+  // Mirrors parse_run_trace's done() guard: the buffered window and the
+  // file must both be exhausted.
+  if (pos_ == buf_.size() && !eof_) (void)refill();
+  if (pos_ != buf_.size()) {
+    fail("trailing bytes after the last step");
+    return false;
+  }
+  return true;
+}
+
 void TraceStreamReader::compact() {
   if (pos_ >= kChunkBytes) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
@@ -79,15 +93,7 @@ bool TraceStreamReader::next(RunStep& step) {
       pos_ += r.pos();
       compact();
       ++steps_read_;
-      if (steps_read_ == declared_steps_) {
-        // Clean-end check, mirroring parse_run_trace's done() guard: the
-        // buffered window and the file must both be exhausted.
-        if (pos_ == buf_.size() && !eof_) (void)refill();
-        if (pos_ != buf_.size()) {
-          fail("trailing bytes after the last step");
-          return false;
-        }
-      }
+      if (steps_read_ == declared_steps_ && !check_clean_end()) return false;
       return true;
     }
     // Short window or genuinely bad bytes?  More file decides; at EOF the

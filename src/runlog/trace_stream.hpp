@@ -51,7 +51,8 @@ class TraceStreamReader {
   /// Reads the next step.  Returns false at the end of the trace or on
   /// error — distinguish via ok().  After the declared last step, verifies
   /// the file ends cleanly (trailing bytes are an error, matching
-  /// parse_run_trace).
+  /// parse_run_trace); the constructor does the same for a header that
+  /// declares zero steps.
   [[nodiscard]] bool next(RunStep& step);
 
   /// True once every declared step was read and the file ended cleanly.
@@ -63,6 +64,9 @@ class TraceStreamReader {
   void fail(const std::string& what);
   /// Appends one chunk; flips eof_ at end of file.  False on read error.
   bool refill();
+  /// After the declared last step (or a zero-step header): fails unless
+  /// the file ends there.
+  bool check_clean_end();
   /// Drops consumed bytes once they exceed a chunk, keeping the window
   /// bounded by the unconsumed suffix plus one chunk.
   void compact();

@@ -9,7 +9,7 @@ bool ingest_trace(TraceStreamReader& reader, StreamService::Producer producer,
     return false;
   }
   if (reader.header().has_base()) {
-    // A v3 excerpt starts from a mid-run snapshot; the service's Open
+    // An excerpt starts from a mid-run snapshot; the service's Open
     // event starts checkers from the initial state only.
     error = "trace carries an excerpt base snapshot; replay it with "
             "scv_check instead of re-ingesting";

@@ -21,7 +21,7 @@
 //
 // Verdicts: a violating stream is *quarantined* — its verdict, reason and a
 // replayable SCVR excerpt (the last two step windows plus the checker
-// snapshot from the window start, run_trace.hpp v3) are published, further
+// snapshot from the window start, run_trace.hpp v4) are published, further
 // events for it are discarded, and every other stream continues untouched.
 // Clean streams publish Accepted on Close.  Reports cross threads through
 // a mutex-guarded map written only on these cold transitions.
@@ -75,7 +75,7 @@ struct StreamReport {
   std::uint64_t symbols = 0;     ///< symbols applied to the checker
   /// Replayable evidence for quarantined streams (empty otherwise): an
   /// SCVR trace whose replay (check_trace) reproduces the reject.  Carries
-  /// a v3 base snapshot when earlier windows were dropped.
+  /// a version-4 base snapshot when earlier windows were dropped.
   std::optional<RunTrace> excerpt;
 };
 

@@ -146,14 +146,19 @@ class TryReader {
     return true;
   }
 
+  /// Accepts only the canonical LEB128 encoding ByteWriter::uvar writes:
+  /// a zero final byte after a continuation (overlong, such as `80 00` for
+  /// 0) and a tenth byte carrying bits past 64 are rejected, so every
+  /// accepted varint re-encodes to the bytes it was read from.
   bool uvar(std::uint64_t& v) {
     v = 0;
     int shift = 0;
     for (;;) {
       std::uint8_t b = 0;
-      if (!u8(b) || shift >= 64) return false;
+      if (!u8(b)) return false;
+      if (shift == 63 && b > 1) return false;
       v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return true;
+      if ((b & 0x80) == 0) return b != 0 || shift == 0;
       shift += 7;
     }
   }

@@ -352,6 +352,29 @@ TEST(Observer, SnapshotRestoreRoundtrip) {
   }
 }
 
+// Over every registry protocol × model: restore() of a snapshot followed by
+// snapshot() reproduces the bytes (live-node mask and records included).
+TEST(Observer, SnapshotsRoundTripOverRegistryWalks) {
+  std::size_t states = 0;
+  testing::for_each_registry_walk_state(
+      200, 7,
+      [&](const RegisteredProtocol& entry, const NamedModel& nm,
+          const Product& p, std::size_t step) {
+        ++states;
+        ByteWriter snap;
+        p.observer().snapshot(snap);
+        Observer copy(p.protocol(), p.observer().config());
+        ByteReader r(snap.data());
+        copy.restore(r);
+        EXPECT_TRUE(r.done());
+        ByteWriter again;
+        copy.snapshot(again);
+        EXPECT_EQ(again.data(), snap.data())
+            << entry.id << " × " << nm.name << " step " << step;
+      });
+  EXPECT_GT(states, 27u * 20);
+}
+
 TEST(Observer, RestoredObserverContinuesIdentically) {
   LazyCaching proto(2, 1, 1, 1, 2);
   const auto walk = random_walk(proto, 160, 7);

@@ -15,6 +15,7 @@
 #include "runlog/replay.hpp"
 #include "runlog/run_trace.hpp"
 #include "runlog/sinks.hpp"
+#include "runlog/trace_stream.hpp"
 
 namespace scv {
 namespace {
@@ -310,6 +311,76 @@ TEST(RunTraceFormat, ReserializedLegacyTraceCarriesTheModelTag) {
   ASSERT_TRUE(parse_run_trace(again.data(), reparsed, error)) << error;
   EXPECT_EQ(reparsed, legacy);
   EXPECT_EQ(check_trace(reparsed).accepted, legacy_check.accepted);
+}
+
+/// tests/data, located next to this source file.
+std::string test_data_path(const std::string& name) {
+  const std::string here = __FILE__;
+  return here.substr(0, here.find_last_of('/') + 1) + "data/" + name;
+}
+
+// Quarantine excerpts the service wrote as version 3 (all-slot checker
+// base): msi_bus_buggy walks streamed with excerpt_window = 4, so the base
+// is a mid-run snapshot with live nodes.  The parser rewrites the base into
+// the live-slot layout; everything downstream must behave as before.
+TEST(RunTraceFormat, Version3ExcerptsParseRecheckAndReserializeAsVersion4) {
+  for (const std::string model : {"sc", "tso", "coherence"}) {
+    SCOPED_TRACE(model);
+    const std::string path =
+        test_data_path("excerpt_v3_msi_bus_buggy_" + model + ".scvr");
+    RunTrace v3;
+    std::string error;
+    ASSERT_TRUE(read_run_trace(path, v3, error)) << error;
+    EXPECT_EQ(to_string(v3.checker.model), model);
+    ASSERT_TRUE(v3.has_base());
+    EXPECT_GT(v3.dropped_steps, 0u);
+
+    // The rewritten base is canonical in the new layout.
+    ScChecker base(v3.checker);
+    ASSERT_TRUE(base.try_restore(v3.base_state, error)) << error;
+    ByteWriter base_again;
+    base.serialize(base_again);
+    EXPECT_EQ(base_again.data(), v3.base_state);
+
+    // Re-rejects with the reason recorded at quarantine, batch and streamed.
+    const TraceCheckResult r = check_trace(v3);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.accepted);
+    EXPECT_EQ(r.reject_reason, v3.reason);
+    TraceStreamReader reader(path);
+    const TraceCheckResult streamed = check_trace_stream(reader);
+    ASSERT_TRUE(streamed.ok) << streamed.error;
+    EXPECT_EQ(streamed.reject_reason, v3.reason);
+    EXPECT_EQ(streamed.steps_fed, r.steps_fed);
+
+    // Reserializes as version 4, which round-trips byte for byte.
+    ByteWriter v4;
+    serialize_run_trace(v3, v4);
+    ASSERT_GT(v4.data().size(), 6u);
+    EXPECT_EQ(v4.data()[4], 4);
+    RunTrace back;
+    ASSERT_TRUE(parse_run_trace(v4.data(), back, error)) << error;
+    EXPECT_EQ(back, v3);
+    ByteWriter again;
+    serialize_run_trace(back, again);
+    EXPECT_EQ(again.data(), v4.data());
+  }
+}
+
+TEST(RunTraceFormat, MalformedVersion3BaseIsAParseError) {
+  RunTrace t = sample_trace();
+  t.base_state = {0, 0, 0};  // shorter than the config's fixed header
+  t.dropped_steps = 1;
+  ByteWriter w;
+  serialize_run_trace(t, w);
+  std::vector<std::uint8_t> bytes = w.data();
+  ASSERT_EQ(bytes[4], 4);
+  RunTrace parsed;
+  std::string error;
+  ASSERT_TRUE(parse_run_trace(bytes, parsed, error)) << error;
+  bytes[4] = 3;  // the same base bytes, read as the all-slot layout
+  EXPECT_FALSE(parse_run_trace(bytes, parsed, error));
+  EXPECT_EQ(error, "bad version-3 excerpt base: truncated header");
 }
 
 // ---------------------------------------------------------------- sinks

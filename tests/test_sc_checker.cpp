@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "checker/sc_checker.hpp"
+#include "util/rng.hpp"
+#include "walker.hpp"
 
 namespace scv {
 namespace {
@@ -414,6 +416,107 @@ TEST(ScChecker, SnapshotRestoreRoundtrip) {
   EXPECT_EQ(a.feed(bad), Status::Reject);
   EXPECT_EQ(b.feed(bad), Status::Reject);
   EXPECT_TRUE(b.rejected());
+}
+
+// The live-slot layout over every snapshot shape the engines produce: a
+// restored checker reserializes to the same bytes, and the validating
+// restore accepts it.
+TEST(ScChecker, SnapshotsRoundTripOverRegistryWalks) {
+  std::size_t states = 0;
+  testing::for_each_registry_walk_state(
+      200, 7,
+      [&](const RegisteredProtocol& entry, const NamedModel& nm,
+          const Product& p, std::size_t step) {
+        ++states;
+        ByteWriter snap;
+        p.checker().snapshot(snap);
+        ScChecker copy(p.checker().config());
+        ByteReader r(snap.data());
+        copy.restore(r);
+        EXPECT_TRUE(r.done());
+        ByteWriter again;
+        copy.serialize(again);
+        EXPECT_EQ(again.data(), snap.data())
+            << entry.id << " × " << nm.name << " step " << step;
+        ScChecker checked(p.checker().config());
+        std::string error;
+        EXPECT_TRUE(checked.try_restore(snap.data(), error))
+            << entry.id << " × " << nm.name << " step " << step << ": "
+            << error;
+      });
+  EXPECT_GT(states, 27u * 20);
+}
+
+// Seeded mutation of the validating restore: bit flips, byte sets,
+// truncations and extensions of real snapshots.  Every mutant either gets
+// a diagnostic (and leaves the checker untouched) or restores to a checker
+// whose serialize() reproduces the mutant byte for byte — so an excerpt
+// base that parses cannot reserialize to different bytes.
+TEST(ScChecker, TryRestoreMutantsFailOrReserializeExactly) {
+  struct Seed {
+    ScCheckerConfig cfg;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Seed> seeds;
+  testing::for_each_registry_walk_state(
+      60, 11,
+      [&](const RegisteredProtocol&, const NamedModel&, const Product& p,
+          std::size_t step) {
+        if (step % 10 != 0) return;
+        ByteWriter snap;
+        p.checker().snapshot(snap);
+        seeds.push_back({p.checker().config(), snap.data()});
+      });
+  ASSERT_GT(seeds.size(), 27u);
+
+  Xoshiro256 rng(2024);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const Seed& seed : seeds) {
+    ByteWriter fresh;
+    ScChecker(seed.cfg).serialize(fresh);
+    for (int m = 0; m < 100; ++m) {
+      std::vector<std::uint8_t> mutant = seed.bytes;
+      switch (rng.below(4)) {
+        case 0:  // one to three bit flips
+          for (std::uint64_t f = 0, n = 1 + rng.below(3); f < n; ++f) {
+            mutant[rng.below(mutant.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.below(8));
+          }
+          break;
+        case 1:  // one byte set to an arbitrary value
+          mutant[rng.below(mutant.size())] =
+              static_cast<std::uint8_t>(rng.below(256));
+          break;
+        case 2:  // truncation
+          mutant.resize(rng.below(mutant.size()));
+          break;
+        default:  // extension by one to eight bytes
+          for (std::uint64_t e = 0, n = 1 + rng.below(8); e < n; ++e) {
+            mutant.push_back(static_cast<std::uint8_t>(rng.below(256)));
+          }
+          break;
+      }
+      ScChecker c(seed.cfg);
+      std::string error;
+      ByteWriter out;
+      if (c.try_restore(mutant, error)) {
+        ++accepted;
+        c.serialize(out);
+        ASSERT_EQ(out.data(), mutant) << "accepted mutant reserializes "
+                                         "differently";
+      } else {
+        ++rejected;
+        ASSERT_FALSE(error.empty());
+        c.serialize(out);
+        ASSERT_EQ(out.data(), fresh.data()) << "a rejected restore mutated "
+                                               "the checker: "
+                                            << error;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // ring, packed wire events, the service's verdict/quarantine machinery,
 // the differential guarantee (service verdict == offline check_trace,
 // byte-identical reasons, across the whole protocol registry and worker
-// counts), excerpt replayability (v3 base snapshots), the zero-allocation
+// counts), excerpt replayability (v4 base snapshots), the zero-allocation
 // steady state, and malformed-SCVR diagnostics through both the streaming
 // reader and service ingest.
 #include <gtest/gtest.h>
@@ -313,11 +313,11 @@ TEST(StreamService, QuarantineExcerptReplaysToSameReject) {
   EXPECT_FALSE(r.accepted);
   EXPECT_EQ(r.reject_reason, rep->reason);
 
-  // And survives the v3 wire format round trip.
+  // And survives the v4 wire format round trip.
   ByteWriter w;
   serialize_run_trace(ex, w);
   ASSERT_GT(w.data().size(), 6u);
-  EXPECT_EQ(w.data()[4], 3) << "base-carrying trace must be version 3";
+  EXPECT_EQ(w.data()[4], 4) << "base-carrying trace must be version 4";
   RunTrace back;
   std::string error;
   ASSERT_TRUE(parse_run_trace(w.data(), back, error)) << error;
@@ -564,6 +564,43 @@ TEST(StreamIngestDiagnostics, TornHeaderReportsCleanly) {
   EXPECT_EQ(error, reader.error()) << "same diagnostic on both paths";
   svc.stop();
   EXPECT_FALSE(svc.report(1).has_value()) << "stream never opened";
+}
+
+TEST(StreamIngestDiagnostics, ZeroStepHeaderWithTrailingBytesIsRejected) {
+  // A header that declares no steps ends the trace; junk after it must
+  // fail the streaming reader (scv_check, scv_serve) exactly as it fails
+  // parse_run_trace.
+  ByteWriter w;
+  serialize_run_trace(crafted_trace(0), w);
+  std::vector<std::uint8_t> bytes = w.data();
+  bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
+  const std::string path = temp_path("zero_step_junk.scvr");
+  write_bytes(path, bytes, bytes.size());
+
+  RunTrace parsed;
+  std::string error;
+  EXPECT_FALSE(parse_run_trace(bytes, parsed, error));
+  EXPECT_EQ(error, "trailing bytes after the last step");
+
+  TraceStreamReader reader(path);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.error(), error) << "same diagnostic as parse_run_trace";
+  EXPECT_FALSE(reader.done());
+  EXPECT_FALSE(check_trace_stream(reader).ok);
+
+  StreamService svc(StreamServiceOptions{});
+  TraceStreamReader reader2(path);
+  std::string ingest_error;
+  EXPECT_FALSE(ingest_trace(reader2, svc.producer(0), 1, ingest_error));
+  EXPECT_EQ(ingest_error, error);
+  svc.stop();
+
+  // Without the junk the same header is a clean, empty trace.
+  const std::string clean = temp_path("zero_step.scvr");
+  write_bytes(clean, w.data(), w.data().size());
+  TraceStreamReader ok_reader(clean);
+  EXPECT_TRUE(ok_reader.ok()) << ok_reader.error();
+  EXPECT_TRUE(ok_reader.done());
 }
 
 TEST(StreamIngestDiagnostics, ExcerptBaseTracesRefuseReingestion) {

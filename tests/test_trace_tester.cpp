@@ -3,10 +3,12 @@
 // parameters far beyond what the model checker explores.
 #include <gtest/gtest.h>
 
+#include "checker/memory_model.hpp"
 #include "core/trace_tester.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"
+#include "protocol/registry.hpp"
 #include "protocol/serial_memory.hpp"
 #include "protocol/write_buffer.hpp"
 
@@ -29,6 +31,24 @@ TEST(TraceTester, ScProtocolsPassLongRuns) {
     EXPECT_EQ(r.steps, 20000u);
     EXPECT_GT(r.memory_ops, 0u);
     EXPECT_GT(r.symbols, r.memory_ops);  // edges come with the ops
+  }
+}
+
+// The checker must run the observer's memory model: a tso or coherence
+// observer emits a relaxed program order that an SC checker rejects.
+TEST(TraceTester, NoViolationOnCleanCellsOfTheModelAxis) {
+  for (const RegisteredProtocol& entry : protocol_registry()) {
+    const std::unique_ptr<Protocol> proto = entry.make();
+    for (const NamedModel& nm : memory_model_axis()) {
+      if (entry.violating_under(nm.model)) continue;
+      TraceTestOptions opt;
+      opt.max_steps = 20000;
+      opt.seed = 3;
+      opt.observer.model = nm.model;
+      const TraceTestResult r = trace_test(*proto, opt);
+      EXPECT_NE(r.verdict, TraceVerdict::Violation)
+          << entry.id << " × " << nm.name << ": " << r.summary();
+    }
   }
 }
 

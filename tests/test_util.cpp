@@ -143,6 +143,41 @@ TEST(ByteIo, RoundTripAllWidths) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(ByteIo, TryReaderAcceptsOnlyCanonicalVarints) {
+  const auto read = [](std::vector<std::uint8_t> bytes, std::uint64_t& v) {
+    TryReader r(bytes);
+    return r.uvar(v) && r.done();
+  };
+  std::uint64_t v = 0;
+  // Overlong encodings: a zero final byte after a continuation.
+  EXPECT_FALSE(read({0x80, 0x00}, v)) << "80 00 is an overlong 0";
+  EXPECT_FALSE(read({0xff, 0x00}, v)) << "ff 00 is an overlong 127";
+  EXPECT_FALSE(read({0x80, 0x80, 0x00}, v));
+  // A tenth byte may only carry bit 63.
+  EXPECT_FALSE(read({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                     0x02},
+                    v))
+      << "bits past 64";
+  EXPECT_FALSE(read({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                     0x81, 0x00},
+                    v))
+      << "an eleventh byte";
+  ASSERT_TRUE(read({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                    0x01},
+                   v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  // Everything ByteWriter writes reads back to the same value and length.
+  for (const std::uint64_t x :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
+        std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
+        std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    ByteWriter w;
+    w.uvar(x);
+    ASSERT_TRUE(read(w.data(), v)) << x;
+    EXPECT_EQ(v, x);
+  }
+}
+
 TEST(ByteIo, LittleEndianLayout) {
   ByteWriter w;
   w.u16(0x0102);

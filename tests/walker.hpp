@@ -4,10 +4,14 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "checker/memory_model.hpp"
+#include "mc/product.hpp"
 #include "protocol/protocol.hpp"
+#include "protocol/registry.hpp"
 #include "protocol/st_index.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -91,6 +95,37 @@ inline Transition find_transition(
     if (pred(t)) return t;
   }
   SCV_UNREACHABLE("no enabled transition matches the predicate");
+}
+
+/// Steps a full product (protocol, observer, checker) `steps` seeded-random
+/// transitions for every registry protocol under every model of the axis
+/// (sc, tso, coherence) and hands each state reached to `visit`, with its
+/// step number (1-based).  A walk ends at its first failing step or dead
+/// end.  Covers the snapshot layouts the model checker's frontier and the
+/// streaming service actually produce.
+inline void for_each_registry_walk_state(
+    std::size_t steps, std::uint64_t seed,
+    const std::function<void(const RegisteredProtocol&, const NamedModel&,
+                             const Product&, std::size_t)>& visit) {
+  std::vector<Transition> enabled;
+  std::vector<Symbol> symbols;
+  for (const RegisteredProtocol& entry : protocol_registry()) {
+    const std::unique_ptr<Protocol> proto = entry.make();
+    for (const NamedModel& nm : memory_model_axis()) {
+      ObserverConfig cfg;
+      cfg.model = nm.model;
+      Product p(*proto, cfg, /*with_observer=*/true);
+      Xoshiro256 rng(seed);
+      for (std::size_t i = 1; i <= steps; ++i) {
+        enabled.clear();
+        p.enumerate(enabled);
+        if (enabled.empty()) break;
+        const Transition t = enabled[rng.below(enabled.size())];
+        if (p.step(t, symbols) != StepOutcome::Ok) break;
+        visit(entry, nm, p, i);
+      }
+    }
+  }
 }
 
 }  // namespace scv::testing
