@@ -1,8 +1,6 @@
 // Experiment THM31 — the finite-state cycle checker of Lemma 3.3: symbol
 // throughput and active-graph population as a function of the bandwidth
 // bound k, plus a correctness-rate table against explicit expansion.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -107,25 +105,9 @@ void print_table() {
   std::printf("\n");
 }
 
-void BM_CycleCheckerFeed(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Xoshiro256 rng(11);
-  const auto stream = acyclic_stream(k, 8192, rng);
-  for (auto _ : state) {
-    CycleChecker checker(k);
-    for (const Symbol& s : stream) {
-      benchmark::DoNotOptimize(checker.feed(s));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * stream.size());
-}
-BENCHMARK(BM_CycleCheckerFeed)->Arg(2)->Arg(8)->Arg(32)->Arg(62);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

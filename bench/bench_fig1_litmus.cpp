@@ -7,15 +7,11 @@
 // bounded-preemption exploration mode is measured against full exploration
 // at a fixed depth.
 //
-// JSON output: always writes BENCH_models.json ({"models": {...}}) to the
-// working directory; with --bench-json PATH the same "models" object is
-// spliced into an existing bench_parallel_mc summary (BENCH_mc.json) so
-// tools/check_bench.py can gate litmus outcomes and preemption reductions
-// alongside the perf numbers.
-#include <benchmark/benchmark.h>
-
+// JSON output: writes BENCH_models.json ({"models": {...}}) to the working
+// directory.  tools/check_bench.py reads it from beside the BENCH_mc.json it
+// gates, and checks litmus outcomes and preemption reductions alongside the
+// perf numbers.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -179,74 +175,9 @@ std::string models_json() {
   return os.str();
 }
 
-/// Splices `, "models": {...}` into an existing top-level JSON object
-/// (bench_parallel_mc's BENCH_mc.json) just before its closing brace.  The
-/// producer's format is fixed (one top-level object, closing "}" last), so
-/// a textual splice is sufficient; refuses files that already carry a
-/// "models" key rather than silently duplicating it.
-bool splice_into(const std::string& path, const std::string& models) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_fig1_litmus: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  if (text.find("\"models\":") != std::string::npos) {
-    std::fprintf(stderr,
-                 "bench_fig1_litmus: %s already has a \"models\" section\n",
-                 path.c_str());
-    return false;
-  }
-  const std::size_t brace = text.find_last_of('}');
-  if (brace == std::string::npos) {
-    std::fprintf(stderr, "bench_fig1_litmus: %s is not a JSON object\n",
-                 path.c_str());
-    return false;
-  }
-  std::string out = text.substr(0, brace);
-  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  out += ",\n  \"models\": " + models + "\n}\n";
-  std::ofstream o(path, std::ios::trunc);
-  o << out;
-  return o.good();
-}
-
-void BM_ScOutcomes(benchmark::State& state) {
-  const LitmusProgram prog = figure1_program();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sc_outcomes(prog));
-  }
-}
-BENCHMARK(BM_ScOutcomes);
-
-void BM_RelaxedOutcomes(benchmark::State& state) {
-  const LitmusProgram prog = figure1_program();
-  RelaxFlags all;
-  all.load_load = all.store_store = all.store_load = all.load_store = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relaxed_outcomes(prog, all));
-  }
-}
-BENCHMARK(BM_RelaxedOutcomes);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Our flag, consumed before google-benchmark sees the argument list.
-  std::string bench_json;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      bench_json = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
-
+int main() {
   print_figure1();
   const std::string models = models_json();
   {
@@ -254,11 +185,5 @@ int main(int argc, char** argv) {
     out << "{\n  \"models\": " << models << "\n}\n";
   }
   std::printf("wrote BENCH_models.json\n");
-  if (!bench_json.empty()) {
-    if (!splice_into(bench_json, models)) return 1;
-    std::printf("spliced \"models\" into %s\n", bench_json.c_str());
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

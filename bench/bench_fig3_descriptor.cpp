@@ -3,8 +3,6 @@
 // naive descriptor (IDs = node numbers) and its 3-bandwidth-bounded
 // descriptor with ID recycling, both verified by the finite-state cycle
 // checker (Lemma 3.3).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "checker/cycle_checker.hpp"
@@ -61,29 +59,9 @@ void print_figure3() {
   std::printf("\n\n");
 }
 
-/// Benchmark: descriptor expansion and emission on Figure-3-sized graphs.
-void BM_EmitDescriptor(benchmark::State& state) {
-  const Fig3Example ex = figure3_example();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(descriptor_for_graph(ex.graph.digraph(), 3));
-  }
-}
-BENCHMARK(BM_EmitDescriptor);
-
-void BM_ExpandDescriptor(benchmark::State& state) {
-  const Fig3Example ex = figure3_example();
-  const Descriptor d = descriptor_for_graph(ex.graph.digraph(), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expand(d));
-  }
-}
-BENCHMARK(BM_ExpandDescriptor);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

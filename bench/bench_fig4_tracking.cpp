@@ -1,8 +1,6 @@
 // Experiment FIG4 — reproduces Figure 4: the 4-action run of the toy
 // Get-Shared protocol, the tracking labels of every transition, the state
 // after each action, and the final ST-index of every location.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 #include <span>
@@ -100,25 +98,9 @@ void print_figure4() {
   std::printf("\n");
 }
 
-void BM_TrackerStoreAndCopies(benchmark::State& state) {
-  StIndexTracker tracker(16);
-  InlineVec<CopyEntry, 12> copies{CopyEntry{4, 0}, CopyEntry{5, 1},
-                                  CopyEntry{6, kClearSrc}};
-  std::uint32_t n = 1;
-  for (auto _ : state) {
-    tracker.on_store(static_cast<LocId>(n % 4), n);
-    tracker.on_copies({copies.begin(), copies.size()});
-    benchmark::DoNotOptimize(tracker.at(static_cast<LocId>(n % 16)));
-    ++n;
-  }
-}
-BENCHMARK(BM_TrackerStoreAndCopies);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

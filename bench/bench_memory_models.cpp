@@ -3,11 +3,9 @@
 // order to (processor, block) chains.  Headline row: the drain-order
 // forwarding write buffer — a TSO machine in miniature — fails SC but
 // verifies as coherent; the non-forwarding buffer fails both.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"
 #include "protocol/serial_memory.hpp"
@@ -20,10 +18,10 @@ using namespace scv;
 void row(const Protocol& proto, const char* params) {
   McOptions sc;
   sc.max_states = 3'000'000;
-  const McResult rs = verify_sc(proto, sc);
+  const McResult rs = model_check(proto, sc);
   McOptions coh = sc;
   coh.observer.model = MemoryModel::coherence();
-  const McResult rc = verify_sc(proto, coh);
+  const McResult rc = model_check(proto, coh);
   std::printf("  %-14s %-18s | SC: %-10s %8zu states | coherence: %-10s "
               "%8zu states\n",
               proto.name().c_str(), params, to_string(rs.verdict).c_str(),
@@ -45,23 +43,9 @@ void print_table() {
               "both models.\n\n");
 }
 
-void BM_VerifyCoherenceMsi(benchmark::State& state) {
-  MsiBus proto(2, 1, 1);
-  McOptions opt;
-  opt.observer.model = MemoryModel::coherence();
-  for (auto _ : state) {
-    const McResult r = verify_sc(proto, opt);
-    if (r.verdict != McVerdict::Verified) state.SkipWithError("?!");
-    benchmark::DoNotOptimize(r.states);
-  }
-}
-BENCHMARK(BM_VerifyCoherenceMsi)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,11 +2,9 @@
 // much the observer + checker inflate the reachable state space relative to
 // the bare protocol, and the compact vs location-mirrored emission ablation
 // (descriptor traffic and product size).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "observer/observer.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
@@ -84,38 +82,9 @@ void print_table() {
               "\nthe stream; the denoted graph is identical (see tests).\n\n");
 }
 
-void BM_ProductStateSerialization(benchmark::State& state) {
-  // The dominant cost of the product exploration: canonical serialization.
-  MsiBus proto(2, 1, 2);
-  Observer obs(proto, {});
-  Xoshiro256 rng(3);
-  std::vector<std::uint8_t> st(proto.state_size());
-  proto.initial_state(st);
-  std::vector<Transition> ts;
-  std::vector<Symbol> sink;
-  for (int i = 0; i < 200; ++i) {
-    ts.clear();
-    proto.enumerate(st, ts);
-    const Transition t = ts[rng.below(ts.size())];
-    proto.apply(st, t);
-    (void)obs.step(t, st, sink);
-    sink.clear();
-  }
-  std::vector<GraphId> canon;
-  for (auto _ : state) {
-    ByteWriter w;
-    obs.serialize(w, &canon);
-    benchmark::DoNotOptimize(w.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProductStateSerialization);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

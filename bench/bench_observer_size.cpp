@@ -3,12 +3,9 @@
 // extra state, (L + pb)(lg p + lg b + lg v + 1) + L lg L bits, against the
 // measured size of our observer's serialized extra state and its peak
 // active-graph population.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
-#include "core/verifier.hpp"
 #include "observer/observer.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
@@ -75,60 +72,9 @@ void print_table() {
               "state itself.\n\n");
 }
 
-void BM_ObserverStepMsi(benchmark::State& state) {
-  MsiBus proto(2, 2, 2);
-  Observer obs(proto, {});
-  Xoshiro256 rng(1);
-  std::vector<std::uint8_t> st(proto.state_size());
-  proto.initial_state(st);
-  std::vector<Transition> ts;
-  std::vector<Symbol> sink;
-  for (auto _ : state) {
-    ts.clear();
-    proto.enumerate(st, ts);
-    const Transition t = ts[rng.below(ts.size())];
-    proto.apply(st, t);
-    if (obs.step(t, st, sink) != ObserverStatus::Ok) {
-      state.SkipWithError("observer failure");
-      return;
-    }
-    benchmark::DoNotOptimize(sink);
-    sink.clear();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObserverStepMsi);
-
-void BM_ObserverSerialize(benchmark::State& state) {
-  MsiBus proto(2, 2, 2);
-  Observer obs(proto, {});
-  Xoshiro256 rng(1);
-  std::vector<std::uint8_t> st(proto.state_size());
-  proto.initial_state(st);
-  std::vector<Transition> ts;
-  std::vector<Symbol> sink;
-  for (int i = 0; i < 100; ++i) {
-    ts.clear();
-    proto.enumerate(st, ts);
-    const Transition t = ts[rng.below(ts.size())];
-    proto.apply(st, t);
-    (void)obs.step(t, st, sink);
-    sink.clear();
-  }
-  for (auto _ : state) {
-    ByteWriter w;
-    obs.serialize(w);
-    benchmark::DoNotOptimize(w.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObserverSerialize);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,8 +11,6 @@
 // them, so it skips the per-transition heap allocation the sequential
 // engine pays.  That algorithmic gain is what the table documents there;
 // on real multi-core hardware thread-level parallelism stacks on top.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +24,7 @@
 #endif
 
 #include "analysis/lint.hpp"
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/msi_bus.hpp"
 #include "protocol/registry.hpp"
@@ -609,24 +607,9 @@ void run_experiments() {
   out << "\n  }\n}\n";
 }
 
-void BM_ParallelVsSequential(benchmark::State& state) {
-  MsiBus proto(2, 1, 1);
-  McOptions opt;
-  opt.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const McResult r = model_check(proto, opt);
-    if (r.verdict != McVerdict::Verified) state.SkipWithError("not SC?!");
-    benchmark::DoNotOptimize(r.states);
-  }
-}
-BENCHMARK(BM_ParallelVsSequential)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiments();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

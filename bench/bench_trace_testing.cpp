@@ -3,11 +3,9 @@
 // state spaces are far beyond exhaustive model checking.  Reports
 // monitoring throughput and, for the buggy protocols, the latency (in
 // steps) until the injected violation is caught.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "core/trace_tester.hpp"
+#include "mc/record.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"
@@ -69,26 +67,9 @@ void print_table() {
   std::printf("\n");
 }
 
-void BM_MonitorMsiBig(benchmark::State& state) {
-  MsiBus proto(4, 3, 3);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    TraceTestOptions opt;
-    opt.max_steps = 20000;
-    opt.seed = seed++;
-    const TraceTestResult r = trace_test(proto, opt);
-    if (r.verdict != TraceVerdict::Passed) state.SkipWithError("violation?!");
-    benchmark::DoNotOptimize(r.symbols);
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_MonitorMsiBig)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

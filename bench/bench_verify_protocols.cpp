@@ -3,11 +3,9 @@
 // BFS depth, wall time.  Sequentially consistent protocols must verify;
 // the store-buffer variants and the stale-view toy must yield
 // counterexamples.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/get_shared_toy.hpp"
 #include "protocol/lazy_caching.hpp"
@@ -22,7 +20,7 @@ using namespace scv;
 void row(const Protocol& proto, const char* params, const char* expected) {
   McOptions opt;
   opt.max_states = 5'000'000;
-  const McResult r = verify_sc(proto, opt);
+  const McResult r = model_check(proto, opt);
   std::printf("  %-14s %-16s -> %-18s %9zu states %10zu trans  depth %3zu"
               "  %6.2fs  %5.1f B/state  (expect %s)\n",
               proto.name().c_str(), params, to_string(r.verdict).c_str(),
@@ -64,31 +62,9 @@ void print_table() {
               "cyclic (it lies outside the class Gamma).\n\n");
 }
 
-void BM_VerifyMsiSmall(benchmark::State& state) {
-  MsiBus proto(2, 1, 1);
-  for (auto _ : state) {
-    const McResult r = verify_sc(proto);
-    if (r.verdict != McVerdict::Verified) state.SkipWithError("not SC?!");
-    benchmark::DoNotOptimize(r.states);
-  }
-}
-BENCHMARK(BM_VerifyMsiSmall)->Unit(benchmark::kMillisecond);
-
-void BM_FindWriteBufferViolation(benchmark::State& state) {
-  WriteBuffer proto(2, 2, 1, 1, true);
-  for (auto _ : state) {
-    const McResult r = verify_sc(proto);
-    if (r.verdict != McVerdict::Violation) state.SkipWithError("missed");
-    benchmark::DoNotOptimize(r.counterexample.size());
-  }
-}
-BENCHMARK(BM_FindWriteBufferViolation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

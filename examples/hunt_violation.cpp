@@ -10,8 +10,8 @@
 // Run: ./build/examples/hunt_violation
 #include <cstdio>
 
-#include "core/trace_tester.hpp"
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
+#include "mc/record.hpp"
 #include "protocol/write_buffer.hpp"
 
 int main() {
@@ -23,7 +23,7 @@ int main() {
   WriteBuffer proto(/*procs=*/2, /*blocks=*/2, /*values=*/1, /*depth=*/1,
                     /*forwarding=*/true);
   std::printf("--- model checking %s ---\n", proto.name().c_str());
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   std::printf("%s\n\n", r.summary().c_str());
   if (r.verdict != McVerdict::Violation) return 1;
 

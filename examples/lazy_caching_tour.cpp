@@ -13,7 +13,7 @@
 #include <functional>
 
 #include "checker/sc_checker.hpp"
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "observer/observer.hpp"
 #include "protocol/lazy_caching.hpp"
 
@@ -113,7 +113,7 @@ int main() {
   }));
 
   std::printf("\n--- exhaustive verification ---\n");
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   std::printf("%s\n", r.summary().c_str());
   return r.verdict == McVerdict::Verified ? 0 : 1;
 }

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/trace_tester.hpp"
+#include "mc/record.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "checker/sc_checker.hpp"
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "observer/observer.hpp"
 #include "protocol/msi_bus.hpp"
 #include "util/rng.hpp"
@@ -61,7 +61,7 @@ int main() {
   McOptions bare;
   bare.protocol_only = true;
   const McResult rb = model_check(proto, bare);
-  const McResult rf = verify_sc(proto);
+  const McResult rf = model_check(proto);
   std::printf("bare protocol : %s\n", rb.summary().c_str());
   std::printf("full product  : %s\n", rf.summary().c_str());
   std::printf("observer size : bound %zu bits (Sec. 4.4), product state %zu "

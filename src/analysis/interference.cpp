@@ -119,7 +119,6 @@ void check_interference(LintContext& ctx) {
 
     std::vector<Transition> bare_enabled;
     std::vector<Transition> aug_enabled;
-    std::vector<Transition> ops;
     ++ctx.report->stats.prefixes_walked;
     ++cov.checked;
 
@@ -142,16 +141,10 @@ void check_interference(LintContext& ctx) {
       }
       if (bare_enabled.empty()) break;
 
-      // Bias toward memory operations, like the trace-testing walker: the
-      // interesting tracking behaviour needs LD/ST traffic.
-      ops.clear();
-      for (const Transition& t : bare_enabled) {
-        if (t.action.is_memory_op()) ops.push_back(t);
-      }
+      // The trace-testing walk's LD/ST bias: the interesting tracking
+      // behaviour needs LD/ST traffic.
       const Transition& chosen =
-          (!ops.empty() && rng.chance(60, 100))
-              ? ops[rng.below(ops.size())]
-              : bare_enabled[rng.below(bare_enabled.size())];
+          bare_enabled[pick_walk_transition(bare_enabled, rng)];
 
       proto.apply(bare, chosen);
       proto.apply(aug, chosen);

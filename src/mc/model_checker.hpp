@@ -263,7 +263,23 @@ struct McResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Runs the verification method end to end on `protocol`.
+/// Verifies that `protocol` is sequentially consistent (or obeys the
+/// memory model in McOptions::observer) by constructing its witness
+/// observer (Theorem 4.1) and model checking the observer–checker product
+/// (Theorem 3.1).  Unless McOptions::lint_first is cleared, the protocol's
+/// tracking metadata is statically linted first (DESIGN.md §10) and errors
+/// short-circuit to LintRejected.
+///
+///   Verified             — every reachable run describes an acyclic
+///                          constraint graph: the protocol is SC (obeys
+///                          the model).
+///   Violation            — counterexample run attached (shortest, by BFS).
+///   BandwidthExceeded /
+///   TrackingInconsistent — the protocol, as annotated, is outside the
+///                          decidable class (or the bound is too small).
+///   StateLimit           — the state or depth limit cut exploration short.
+///   LintRejected         — malformed tracking metadata, caught statically
+///                          before exploration (see lint_protocol()).
 [[nodiscard]] McResult model_check(const Protocol& protocol,
                                    const McOptions& options = {});
 

@@ -25,6 +25,23 @@ std::size_t Observer::active_node_bound(const Protocol& p,
          2 * pr.blocks + 8;
 }
 
+std::size_t observer_size_bound_bits(std::size_t p, std::size_t b,
+                                     std::size_t v, std::size_t L) {
+  return (L + p * b) * (ceil_log2(p) + ceil_log2(b) + ceil_log2(v) + 1) +
+         L * ceil_log2(L == 0 ? 1 : L);
+}
+
+std::size_t ceil_log2(std::size_t x) {
+  SCV_EXPECTS(x >= 1);
+  std::size_t bits = 0;
+  std::size_t v = 1;
+  while (v < x) {
+    v <<= 1;
+    ++bits;
+  }
+  return bits;
+}
+
 Observer::Observer(const Protocol& protocol, ObserverConfig config)
     : protocol_(&protocol),
       cfg_(config),

@@ -68,6 +68,17 @@ struct ObserverConfig {
   MemoryModel model{};
 };
 
+/// The paper's upper bound on the observer's extra state (Section 4.4):
+/// (L + p·b)(lg p + lg b + lg v + 1) + L·lg L bits, where lg is ceil_log2.
+/// Observer::active_node_bound is the matching bound on active nodes.
+[[nodiscard]] std::size_t observer_size_bound_bits(std::size_t p,
+                                                   std::size_t b,
+                                                   std::size_t v,
+                                                   std::size_t L);
+
+/// ceil(log2(x)) with lg(1) = 0 (the paper's "lg").
+[[nodiscard]] std::size_t ceil_log2(std::size_t x);
+
 class Observer {
  public:
   static constexpr std::size_t kMaxObsProcs = 6;

@@ -1,11 +1,30 @@
 #include "protocol/protocol.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace scv {
+
+std::size_t pick_walk_transition(std::span<const Transition> enabled,
+                                 Xoshiro256& rng) {
+  SCV_EXPECTS(!enabled.empty());
+  constexpr unsigned kMemoryOpPercent = 60;
+  const auto ops = static_cast<std::size_t>(
+      std::count_if(enabled.begin(), enabled.end(), [](const Transition& t) {
+        return t.action.is_memory_op();
+      }));
+  if (ops == 0 || !rng.chance(kMemoryOpPercent, 100)) {
+    return rng.below(enabled.size());
+  }
+  std::size_t k = rng.below(ops);  // the k-th enabled LD/ST, in order
+  for (std::size_t i = 0;; ++i) {
+    if (enabled[i].action.is_memory_op() && k-- == 0) return i;
+  }
+}
 
 void Protocol::validate_params(const Params& p) {
   SCV_EXPECTS(p.procs >= 1 && p.blocks >= 1 && p.values >= 1);

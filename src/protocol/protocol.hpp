@@ -155,6 +155,17 @@ struct Transition {
   std::int16_t serialize_loc = -1;
 };
 
+class Xoshiro256;
+
+/// The transition choice of every seeded random walk (trace_test,
+/// record_walk, lint R4's prefixes): the index into `enabled` (non-empty)
+/// of the transition to take.  When a LD/ST is enabled, a 60% trial picks
+/// uniformly among the LD/STs, so runs stay operation-dense; otherwise the
+/// pick is uniform over all of `enabled`.  Draws the trial (only when a
+/// LD/ST is enabled), then the index, so a seed fixes the walk.
+[[nodiscard]] std::size_t pick_walk_transition(
+    std::span<const Transition> enabled, Xoshiro256& rng);
+
 /// Static effect summary of one transition over the tracking-location
 /// alphabet — the introspection seam the analysis layer's skeleton IR is
 /// built from (DESIGN.md §15).  `reads` lists locations whose tracked value

@@ -9,8 +9,8 @@
 #include <optional>
 
 #include "analysis/lint.hpp"
-#include "core/verifier.hpp"
 #include "descriptor/symbol.hpp"
+#include "mc/model_checker.hpp"
 #include "protocol/get_shared_toy.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"
@@ -416,8 +416,8 @@ TEST(Lint, CleanProtocolUnaffectedByPrecheck) {
   McOptions with_lint;
   McOptions without_lint;
   without_lint.lint_first = false;
-  const McResult a = verify_sc(proto, with_lint);
-  const McResult b = verify_sc(proto, without_lint);
+  const McResult a = model_check(proto, with_lint);
+  const McResult b = model_check(proto, without_lint);
   EXPECT_EQ(a.verdict, McVerdict::Verified);
   EXPECT_EQ(b.verdict, McVerdict::Verified);
   EXPECT_EQ(a.states, b.states);

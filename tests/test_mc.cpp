@@ -3,7 +3,7 @@
 // agreement, and resource-limit handling.
 #include <gtest/gtest.h>
 
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/get_shared_toy.hpp"
 #include "protocol/lazy_caching.hpp"
@@ -19,26 +19,26 @@ namespace {
 
 TEST(Verify, SerialMemoryIsSc) {
   SerialMemory proto(2, 2, 1);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_EQ(r.verdict, McVerdict::Verified) << r.summary();
   EXPECT_TRUE(r.counterexample.empty());
 }
 
 TEST(Verify, MsiIsSc) {
   MsiBus proto(2, 1, 1);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_EQ(r.verdict, McVerdict::Verified) << r.summary();
 }
 
 TEST(Verify, DirectoryIsSc) {
   DirectoryProtocol proto(2, 1, 1);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_EQ(r.verdict, McVerdict::Verified) << r.summary();
 }
 
 TEST(Verify, LazyCachingIsSc) {
   LazyCaching proto(2, 1, 1, 1, 2);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_EQ(r.verdict, McVerdict::Verified) << r.summary();
 }
 
@@ -47,9 +47,9 @@ TEST(Verify, SingleProcessorWriteBufferIsSc) {
   // — the processor can read ⊥ from memory after its own buffered store —
   // while the *forwarding* buffer is SC for p=1.
   WriteBuffer broken(1, 1, 1, 1, false);
-  EXPECT_EQ(verify_sc(broken).verdict, McVerdict::Violation);
+  EXPECT_EQ(model_check(broken).verdict, McVerdict::Violation);
   WriteBuffer fwd(1, 2, 1, 2, true);
-  EXPECT_EQ(verify_sc(fwd).verdict, McVerdict::Verified);
+  EXPECT_EQ(model_check(fwd).verdict, McVerdict::Verified);
 }
 
 // ------------------------------------------------------- SC violations
@@ -58,7 +58,7 @@ TEST(Verify, WriteBufferShortestCounterexampleIsOwnStaleRead) {
   // Without forwarding, the shortest violation is a processor missing its
   // *own* buffered store: ST(P,B,1) then LD(P,B,⊥) — two operations.
   WriteBuffer proto(2, 2, 1, 1, false);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   ASSERT_EQ(r.verdict, McVerdict::Violation) << r.summary();
   ASSERT_EQ(r.counterexample.size(), 2u);
   EXPECT_NE(r.reason.find("cycle"), std::string::npos);
@@ -68,7 +68,7 @@ TEST(Verify, ForwardingBufferFailsWithStoreBufferingLitmus) {
   // Forwarding fixes same-block stale reads, so BFS must dig out the
   // classic 4-operation store-buffering interleaving instead.
   WriteBuffer proto(2, 2, 1, 1, true);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   ASSERT_EQ(r.verdict, McVerdict::Violation) << r.summary();
   EXPECT_EQ(r.counterexample.size(), 4u);
 }
@@ -77,13 +77,13 @@ TEST(Verify, GetSharedToyIsRejected) {
   // Stale views make the toy's witness graphs cyclic: with multiple
   // values the protocol genuinely violates SC.
   GetSharedToy proto(2, 1, 2, 2);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_EQ(r.verdict, McVerdict::Violation) << r.summary();
 }
 
 TEST(Verify, CounterexampleTraceFailsTheOracle) {
   WriteBuffer proto(2, 2, 2, 1, false);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   ASSERT_EQ(r.verdict, McVerdict::Violation);
   // Rebuild the trace from the counterexample action names?  No — use the
   // structure: every emitted NodeDesc label is a trace operation.
@@ -107,7 +107,7 @@ TEST(Verify, StateLimitIsRespected) {
   MsiBus proto(2, 2, 2);
   McOptions opt;
   opt.max_states = 1000;
-  const McResult r = verify_sc(proto, opt);
+  const McResult r = model_check(proto, opt);
   EXPECT_EQ(r.verdict, McVerdict::StateLimit);
   EXPECT_GE(r.states, 1000u);
   EXPECT_LT(r.states, 5000u);
@@ -117,7 +117,7 @@ TEST(Verify, DepthLimitIsRespected) {
   SerialMemory proto(2, 1, 2);
   McOptions opt;
   opt.max_depth = 2;
-  const McResult r = verify_sc(proto, opt);
+  const McResult r = model_check(proto, opt);
   EXPECT_EQ(r.verdict, McVerdict::StateLimit);
   EXPECT_LE(r.depth, 2u);
 }
@@ -126,7 +126,7 @@ TEST(Verify, TinyObserverPoolReportsBandwidthExceeded) {
   MsiBus proto(2, 2, 2);
   McOptions opt;
   opt.observer.pool_size = 3;
-  const McResult r = verify_sc(proto, opt);
+  const McResult r = model_check(proto, opt);
   EXPECT_EQ(r.verdict, McVerdict::BandwidthExceeded) << r.summary();
   EXPECT_FALSE(r.counterexample.empty());
 }
@@ -327,7 +327,7 @@ TEST(Parallel, ExactStoreMatchesFingerprintStore) {
 
 TEST(Verify, StoreStatsAreReported) {
   MsiBus proto(2, 1, 1);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   EXPECT_GT(r.state_bytes, 0u);
   EXPECT_GT(r.store_bytes, 0u);
   EXPECT_GT(r.store_load_factor, 0.0);
@@ -339,7 +339,7 @@ TEST(Verify, StoreStatsAreReported) {
 
 TEST(Verify, SummaryMentionsVerdictAndCounts) {
   SerialMemory proto(1, 1, 1);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   const std::string s = r.summary();
   EXPECT_NE(s.find("Verified"), std::string::npos);
   EXPECT_NE(s.find("states"), std::string::npos);

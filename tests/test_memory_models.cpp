@@ -8,7 +8,7 @@
 
 #include "checker/memory_model.hpp"
 #include "checker/sc_checker.hpp"
-#include "core/verifier.hpp"
+#include "mc/model_checker.hpp"
 #include "observer/observer.hpp"
 #include "protocol/lazy_caching.hpp"
 #include "protocol/msi_bus.hpp"
@@ -22,7 +22,7 @@ namespace {
 McResult verify_coherence(const Protocol& proto) {
   McOptions opt;
   opt.observer.model = MemoryModel::coherence();
-  return verify_sc(proto, opt);
+  return model_check(proto, opt);
 }
 
 McResult verify_model(const Protocol& proto, const MemoryModel& model,
@@ -30,7 +30,7 @@ McResult verify_model(const Protocol& proto, const MemoryModel& model,
   McOptions opt;
   opt.observer.model = model;
   if (max_states != 0) opt.max_states = max_states;
-  return verify_sc(proto, opt);
+  return model_check(proto, opt);
 }
 
 // --------------------------------------------------------- the headline
@@ -40,7 +40,7 @@ TEST(Coherence, ForwardingWriteBufferIsCoherentButNotSc) {
   // buffer is per-location SC (coherent) yet fails full SC on the
   // store-buffering litmus.
   WriteBuffer proto(2, 2, 1, 1, /*forwarding=*/true, /*drain_order=*/true);
-  EXPECT_EQ(verify_sc(proto).verdict, McVerdict::Violation);
+  EXPECT_EQ(model_check(proto).verdict, McVerdict::Violation);
   EXPECT_EQ(verify_coherence(proto).verdict, McVerdict::Verified);
 }
 
@@ -56,7 +56,7 @@ TEST(Coherence, NonForwardingBufferIsNotEvenCoherent) {
 TEST(Coherence, ScProtocolsAreCoherent) {
   // SC implies coherence, and the restricted witness graphs are smaller.
   MsiBus msi(2, 1, 1);
-  const McResult sc = verify_sc(msi);
+  const McResult sc = model_check(msi);
   const McResult coh = verify_coherence(msi);
   EXPECT_EQ(sc.verdict, McVerdict::Verified);
   EXPECT_EQ(coh.verdict, McVerdict::Verified);
@@ -65,14 +65,14 @@ TEST(Coherence, ScProtocolsAreCoherent) {
   const McResult lc = verify_coherence(lazy);
   EXPECT_EQ(lc.verdict, McVerdict::Verified);
   // With a single block the chains coincide, so the products are equal.
-  EXPECT_EQ(lc.states, verify_sc(lazy).states);
+  EXPECT_EQ(lc.states, model_check(lazy).states);
 }
 
 TEST(Coherence, MultiBlockCoherenceProductIsSmaller) {
   // With b >= 2, dropping cross-block program order shrinks the witness
   // graphs and hence the product.
   SerialMemory proto(2, 2, 1);
-  const McResult sc = verify_sc(proto);
+  const McResult sc = model_check(proto);
   const McResult coh = verify_coherence(proto);
   ASSERT_EQ(sc.verdict, McVerdict::Verified);
   ASSERT_EQ(coh.verdict, McVerdict::Verified);
@@ -88,7 +88,7 @@ TEST(Coherence, SerialMemoryCoherent) {
 
 TEST(DrainOrder, SbViolationStillFoundUnderDeferredSerialization) {
   WriteBuffer proto(2, 2, 1, 1, true, true);
-  const McResult r = verify_sc(proto);
+  const McResult r = model_check(proto);
   ASSERT_EQ(r.verdict, McVerdict::Violation);
   // The cycle closes only when the forced edges are emitted at the drains,
   // so the counterexample includes them.
@@ -103,7 +103,7 @@ TEST(DrainOrder, RealTimeAndDrainOrderAgreeOnVerdicts) {
   for (const bool fwd : {false, true}) {
     WriteBuffer rt(2, 2, 1, 1, fwd, false);
     WriteBuffer dr(2, 2, 1, 1, fwd, true);
-    EXPECT_EQ(verify_sc(rt).verdict, verify_sc(dr).verdict) << fwd;
+    EXPECT_EQ(model_check(rt).verdict, model_check(dr).verdict) << fwd;
   }
 }
 
@@ -172,12 +172,12 @@ TEST(Tso, WriteBufferVerifiesUnderTsoButViolatesSc) {
   // per-processor store chain turns the SC counterexample into a verified
   // protocol — the buffer is a correct TSO implementation.
   WriteBuffer proto(1, 1, 1, 1, /*forwarding=*/false);
-  EXPECT_EQ(verify_sc(proto).verdict, McVerdict::Violation);
+  EXPECT_EQ(model_check(proto).verdict, McVerdict::Violation);
   const McResult tso = verify_model(proto, MemoryModel::tso());
   EXPECT_EQ(tso.verdict, McVerdict::Verified) << tso.summary();
 
   WriteBuffer two(2, 1, 1, 1, /*forwarding=*/false);
-  EXPECT_EQ(verify_sc(two).verdict, McVerdict::Violation);
+  EXPECT_EQ(model_check(two).verdict, McVerdict::Violation);
   EXPECT_EQ(verify_model(two, MemoryModel::tso()).verdict,
             McVerdict::Verified);
 }
@@ -256,7 +256,7 @@ TEST(Tso, ScVerifiedImpliesRelaxedVerifiedOnSmallInstances) {
        {static_cast<const Protocol*>(&serial),
         static_cast<const Protocol*>(&msi),
         static_cast<const Protocol*>(&lazy)}) {
-    ASSERT_EQ(verify_sc(*proto).verdict, McVerdict::Verified)
+    ASSERT_EQ(model_check(*proto).verdict, McVerdict::Verified)
         << proto->name();
     for (const NamedModel& nm : memory_model_axis()) {
       EXPECT_EQ(verify_model(*proto, nm.model).verdict, McVerdict::Verified)
@@ -274,10 +274,10 @@ TEST(Preemption, BoundsExplorationWithoutChangingTheVerdict) {
   McOptions full;
   full.max_depth = 8;
   full.threads = 1;
-  const McResult f = verify_sc(proto, full);
+  const McResult f = model_check(proto, full);
   McOptions bounded = full;
   bounded.observer.model = MemoryModel::bounded_sc(0);
-  const McResult b = verify_sc(proto, bounded);
+  const McResult b = model_check(proto, bounded);
   EXPECT_EQ(b.verdict, f.verdict);
   EXPECT_LT(b.states, f.states);
   EXPECT_GT(b.preemption_pruned, 0u);

@@ -305,6 +305,20 @@ TEST(Observer, CanonicalSerializationErasesHistoryNaming) {
   }
 }
 
+// Section 4.4's size bound, (L + pb)(lg p + lg b + lg v + 1) + L lg L bits,
+// on hand-computed points.
+TEST(Observer, SizeBoundMatchesHandComputedCases) {
+  EXPECT_EQ(ceil_log2(1), 0u);
+  EXPECT_EQ(ceil_log2(2), 1u);
+  EXPECT_EQ(ceil_log2(3), 2u);
+  EXPECT_EQ(ceil_log2(4), 2u);
+  EXPECT_EQ(ceil_log2(5), 3u);
+  // (4 + 2)·(1 + 0 + 1 + 1) + 4·2
+  EXPECT_EQ(observer_size_bound_bits(2, 1, 2, 4), 26u);
+  // (0 + 6)·(2 + 1 + 2 + 1), and L = 0 adds nothing
+  EXPECT_EQ(observer_size_bound_bits(3, 2, 3, 0), 36u);
+}
+
 TEST(Observer, DefaultPoolSizeWithinCheckerLimits) {
   SerialMemory small(1, 1, 1);
   MsiBus big(4, 4, 2);

@@ -12,10 +12,10 @@
 #include <tuple>
 
 #include "checker/cycle_checker.hpp"
-#include "core/trace_tester.hpp"
-#include "core/verifier.hpp"
 #include "descriptor/descriptor.hpp"
 #include "graph/constraint_graph.hpp"
+#include "mc/model_checker.hpp"
+#include "mc/record.hpp"
 #include "observer/observer.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/lazy_caching.hpp"
@@ -72,7 +72,7 @@ TEST_P(VerdictSweep, VerifierMatchesExpectedVerdict) {
   const auto proto = make_protocol(c);
   McOptions opt;
   opt.max_states = 2'000'000;
-  const McResult r = verify_sc(*proto, opt);
+  const McResult r = model_check(*proto, opt);
   EXPECT_EQ(r.verdict, c.expected)
       << proto->name() << " p" << c.procs << " b" << c.blocks << " v"
       << c.values << ": " << r.summary();

@@ -4,13 +4,13 @@
 // failure here first.
 #include <gtest/gtest.h>
 
-#include "core/trace_tester.hpp"
-#include "core/verifier.hpp"
-#include "descriptor/descriptor.hpp"
 #include "checker/cycle_checker.hpp"
 #include "checker/sc_checker.hpp"
+#include "descriptor/descriptor.hpp"
 #include "graph/constraint_graph.hpp"
 #include "litmus/litmus.hpp"
+#include "mc/model_checker.hpp"
+#include "mc/record.hpp"
 #include "protocol/serial_memory.hpp"
 #include "protocol/write_buffer.hpp"
 #include "trace/sc_oracle.hpp"
@@ -58,14 +58,14 @@ TEST(Smoke, OracleAcceptsScTraceRejectsCyclicTrace) {
 
 TEST(Smoke, VerifierProvesSerialMemory) {
   SerialMemory proto(2, 1, 1);
-  const McResult result = verify_sc(proto);
+  const McResult result = model_check(proto);
   EXPECT_EQ(result.verdict, McVerdict::Verified) << result.summary();
   EXPECT_GT(result.states, 1u);
 }
 
 TEST(Smoke, VerifierFindsWriteBufferViolation) {
   WriteBuffer proto(2, 2, 1, /*depth=*/1, /*forwarding=*/false);
-  const McResult result = verify_sc(proto);
+  const McResult result = model_check(proto);
   EXPECT_EQ(result.verdict, McVerdict::Violation) << result.summary();
   EXPECT_FALSE(result.counterexample.empty());
 }

@@ -31,8 +31,7 @@ struct WalkResult {
 /// load that the tracked store matches the loaded (block, value) — or that
 /// the location tracks nothing and the load returned ⊥.
 inline WalkResult random_walk(const Protocol& proto, std::size_t steps,
-                              std::uint64_t seed,
-                              unsigned memory_op_percent = 60) {
+                              std::uint64_t seed) {
   Xoshiro256 rng(seed);
   WalkResult result;
   std::vector<std::uint8_t> state(proto.state_size());
@@ -40,19 +39,11 @@ inline WalkResult random_walk(const Protocol& proto, std::size_t steps,
   StIndexTracker tracker(proto.params().locations);
 
   std::vector<Transition> enabled;
-  std::vector<Transition> ops;
   for (std::size_t i = 0; i < steps; ++i) {
     enabled.clear();
     proto.enumerate(state, enabled);
     if (enabled.empty()) break;
-    ops.clear();
-    for (const Transition& t : enabled) {
-      if (t.action.is_memory_op()) ops.push_back(t);
-    }
-    const Transition chosen =
-        (!ops.empty() && rng.chance(memory_op_percent, 100))
-            ? ops[rng.below(ops.size())]
-            : enabled[rng.below(enabled.size())];
+    const Transition chosen = enabled[pick_walk_transition(enabled, rng)];
 
     if (chosen.action.kind == Action::Kind::Load) {
       const std::uint32_t idx = tracker.at(chosen.loc);

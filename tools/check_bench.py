@@ -20,8 +20,8 @@ regresses past its floor:
     p2 model-checking run the bench measured alongside it.  The reference
     is a bounded (state-capped) run, i.e. a strict underestimate of the
     full verification, so the gate is conservative;
-  * memory-model matrix ("models" section, spliced in by bench_fig1_litmus
-    --bench-json): the SC and TSO litmus outcome sets must match the
+  * memory-model matrix ("models" section of BENCH_models.json, written by
+    bench_fig1_litmus and read from beside BENCH_mc.json): the SC and TSO litmus outcome sets must match the
     expected tables exactly (SC rows are the legacy Figure 1 sets), at
     least two litmus families must flip outcome between SC and TSO, and
     the bounded-preemption rows must show a state reduction at fixed depth
@@ -55,6 +55,7 @@ reviewed flag change in CI, not a silent edit here.
 
 import argparse
 import json
+import os
 import sys
 
 # Per-point floors for the symmetry experiments.  p = 2 has orbits of size
@@ -362,11 +363,18 @@ def main() -> int:
         )
 
     # --- memory-model matrix ----------------------------------------------
-    models = d.get("models", {})
+    models_path = os.path.join(
+        os.path.dirname(args.json_path), "BENCH_models.json"
+    )
+    try:
+        with open(models_path) as f:
+            models = json.load(f).get("models", {})
+    except FileNotFoundError:
+        models = {}
     check(
         bool(models),
-        '"models" section present (bench_fig1_litmus --bench-json splices '
-        "it into the bench_parallel_mc summary)",
+        '"models" section present in %s (bench_fig1_litmus writes it)'
+        % models_path,
     )
     litmus_rows = {
         (r["family"], r["model"]): r for r in models.get("litmus", [])
