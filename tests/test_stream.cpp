@@ -7,6 +7,7 @@
 // reader and service ingest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include "stream/service.hpp"
 #include "stream/spsc_ring.hpp"
 #include "stream/stream_event.hpp"
+#include "util/rng.hpp"
 
 // ------------------------------------------------ allocation accounting
 //
@@ -436,6 +438,355 @@ TEST(StreamDifferential, ModelAxisMatchesBatchChecker) {
     const Differential got = service_verdict(walk, 1, 0);
     EXPECT_EQ(got.accepted, want.accepted);
     EXPECT_EQ(got.reason, want.reason);
+  }
+}
+
+// ------------------------------------ seeded multi-stream differential
+//
+// Many streams interleaved event by event over two rings of capacity 4, so
+// steps cross the rings in pieces and pushes stall: registry walks on the
+// whole model axis plus crafted hazards (a 50-symbol step, trailing
+// symbols before close, a reopen before close, events for a stream never
+// opened).  Every report must equal offline check_trace of the steps the
+// service applied, every excerpt must follow the window rule, and the
+// stats must count exactly what the test pushed.
+
+struct PlanEvent {
+  StreamEvent::Kind kind = StreamEvent::Kind::Symbol;
+  Symbol sym;
+};
+
+struct PlannedStream {
+  std::uint32_t id = 0;
+  ScCheckerConfig cfg;
+  std::vector<RunStep> steps;
+  bool opened = true;         ///< false: events for a never-opened stream
+  bool trailing = false;      ///< last step's symbols go out without step_end
+  std::size_t reopen_at = 0;  ///< >0: a second open after this many steps
+  std::vector<PlanEvent> events;
+
+  // Expected outcome, from offline checking.
+  StreamState state = StreamState::Closed;
+  RunVerdict verdict = RunVerdict::Accepted;
+  std::string reason;
+  std::uint64_t applied_steps = 0;
+  std::uint64_t applied_symbols = 0;
+  std::uint64_t discarded = 0;
+};
+
+void plan_events(PlannedStream& s) {
+  using Kind = StreamEvent::Kind;
+  if (s.opened) s.events.push_back({Kind::Open, {}});
+  for (std::size_t i = 0; i < s.steps.size(); ++i) {
+    if (s.reopen_at != 0 && i == s.reopen_at) {
+      s.events.push_back({Kind::Open, {}});
+    }
+    for (const Symbol& sym : s.steps[i].symbols) {
+      s.events.push_back({Kind::Symbol, sym});
+    }
+    if (!(s.trailing && i + 1 == s.steps.size())) {
+      s.events.push_back({Kind::StepEnd, {}});
+    }
+  }
+  s.events.push_back({Kind::Close, {}});
+}
+
+RunTrace steps_trace(const PlannedStream& s, std::size_t n) {
+  RunTrace t;
+  t.protocol = "planned";
+  t.checker = s.cfg;
+  t.steps.assign(s.steps.begin(),
+                 s.steps.begin() + static_cast<std::ptrdiff_t>(n));
+  return t;
+}
+
+/// Fills the expected report fields: offline check_trace of the prefix the
+/// service applies (everything for a clean stream, up to and including the
+/// first rejecting step otherwise).
+void expect_offline(PlannedStream& s) {
+  const std::uint64_t total = s.events.size();
+  if (!s.opened) {
+    s.discarded = total;
+    return;
+  }
+  if (s.reopen_at != 0) {
+    const TraceCheckResult r = check_trace(steps_trace(s, s.reopen_at));
+    ASSERT_TRUE(r.ok && r.accepted) << "reopen prefix must be clean";
+    s.state = StreamState::Quarantined;
+    s.verdict = RunVerdict::TrackingInconsistent;
+    s.reason = "stream reopened before close";
+    s.applied_steps = r.steps_fed;
+    s.applied_symbols = r.symbols_fed;
+    // Open, the applied steps with their StepEnds, and the reopen itself.
+    s.discarded = total - (1 + r.symbols_fed + r.steps_fed + 1);
+    return;
+  }
+  ScChecker c(s.cfg);
+  std::size_t n = s.steps.size();
+  for (std::size_t i = 0; i < s.steps.size(); ++i) {
+    if (c.feed_batch(s.steps[i].symbols) == Status::Reject) {
+      n = i + 1;
+      break;
+    }
+  }
+  const TraceCheckResult r = check_trace(steps_trace(s, n));
+  ASSERT_TRUE(r.ok) << r.error;
+  s.applied_steps = r.steps_fed;
+  s.applied_symbols = r.symbols_fed;
+  if (r.accepted) {
+    ASSERT_EQ(n, s.steps.size());
+    return;
+  }
+  s.state = StreamState::Quarantined;
+  s.verdict = RunVerdict::Violation;
+  s.reason = r.reject_reason;
+  // Open plus each applied step's symbols and its StepEnd (or, for a
+  // trailing step, the Close that ends it).
+  s.discarded = total - (1 + r.symbols_fed + r.steps_fed);
+}
+
+/// The excerpt a quarantine at failing step f publishes with window W:
+/// r = f / W; r == 0 keeps steps 0..f with no base, r >= 1 drops the first
+/// (r-1)*W steps into a base snapshot and keeps steps (r-1)*W..f.
+RunTrace expected_excerpt(const PlannedStream& s, std::size_t window) {
+  const std::size_t f = s.applied_steps - 1;
+  const std::size_t r = f / window;
+  RunTrace ex;
+  ex.protocol = "stream";
+  ex.checker = s.cfg;
+  ex.verdict = RunVerdict::Violation;
+  ex.reason = s.reason;
+  std::size_t first = 0;
+  if (r >= 1) {
+    first = (r - 1) * window;
+    ScChecker c(s.cfg);
+    for (std::size_t i = 0; i < first; ++i) {
+      EXPECT_EQ(c.feed_batch(s.steps[i].symbols), Status::Ok);
+    }
+    ByteWriter base;
+    c.snapshot(base);
+    ex.base_state = base.data();
+    ex.dropped_steps = first;
+  }
+  for (std::size_t i = first; i <= f; ++i) {
+    RunStep step;
+    step.symbols = s.steps[i].symbols;
+    ex.steps.push_back(std::move(step));
+  }
+  return ex;
+}
+
+std::vector<PlannedStream> seeded_stream_plan() {
+  std::vector<PlannedStream> plan;
+  std::uint32_t next_id = 0;
+  Xoshiro256 rng(0x5eed0019);
+  for (const RegisteredProtocol& entry : protocol_registry()) {
+    const std::unique_ptr<Protocol> proto = entry.make();
+    for (const MemoryModel& m :
+         {MemoryModel::sc(), MemoryModel::tso(), MemoryModel::coherence()}) {
+      RecordWalkOptions opt;
+      opt.steps = 90;
+      opt.seed = rng();
+      opt.observer.model = m;
+      const RunTrace walk = record_walk(*proto, opt);
+      PlannedStream s;
+      s.id = next_id++;
+      s.cfg = walk.checker;
+      s.steps = walk.steps;
+      plan.push_back(std::move(s));
+    }
+  }
+  // Crafted hazards on the 2-proc store chain.
+  const auto crafted = [&] {
+    PlannedStream s;
+    s.id = next_id++;
+    s.cfg = small_config();
+    return s;
+  };
+  // A 50-symbol step (chain steps 5..29 fused) inside a clean stream, and
+  // the same step plus the violating edge as a stream's failing step.
+  for (const bool violate : {false, true}) {
+    PlannedStream s = crafted();
+    const std::vector<RunStep> chain = clean_store_chain(40);
+    s.steps.assign(chain.begin(), chain.begin() + 5);
+    RunStep big;
+    for (std::size_t j = 5; j < 30; ++j) {
+      big.symbols.insert(big.symbols.end(), chain[j].symbols.begin(),
+                         chain[j].symbols.end());
+    }
+    EXPECT_EQ(big.symbols.size(), 50u);
+    if (violate) big.symbols.push_back(violating_step(30).symbols.front());
+    s.steps.push_back(std::move(big));
+    s.steps.insert(s.steps.end(), chain.begin() + 30, chain.end());
+    plan.push_back(std::move(s));
+  }
+  // Trailing symbols before close: a clean final step, and one that
+  // rejects at close after several window rotations.
+  for (const std::size_t clean : {std::size_t{7}, std::size_t{70}}) {
+    PlannedStream s = crafted();
+    s.steps = clean_store_chain(clean);
+    s.steps.push_back(clean == 70 ? violating_step(clean)
+                                  : clean_store_chain(1, clean).front());
+    s.trailing = true;
+    plan.push_back(std::move(s));
+  }
+  // Long violating chains: the failing step lands on and beside window
+  // boundaries for every window under test.
+  for (const std::size_t clean : {std::size_t{31}, std::size_t{32},
+                                  std::size_t{64}, std::size_t{65}}) {
+    PlannedStream s = crafted();
+    s.steps = clean_store_chain(clean);
+    s.steps.push_back(violating_step(clean));
+    s.steps.push_back(clean_store_chain(1, clean).front());  // discarded
+    plan.push_back(std::move(s));
+  }
+  {  // Reopen before close: later events for the stream are discarded.
+    PlannedStream s = crafted();
+    s.steps = clean_store_chain(12);
+    s.reopen_at = 9;
+    plan.push_back(std::move(s));
+  }
+  {  // Events for a stream that was never opened.
+    PlannedStream s = crafted();
+    s.opened = false;
+    s.steps = clean_store_chain(3);
+    plan.push_back(std::move(s));
+  }
+  for (PlannedStream& s : plan) {
+    plan_events(s);
+    expect_offline(s);
+  }
+  return plan;
+}
+
+/// One producer's share of the plan, interleaved in seeded runs of 1-3
+/// events per stream; per-stream order is kept.
+std::vector<std::pair<std::uint32_t, const PlanEvent*>> interleave(
+    const std::vector<PlannedStream>& plan, std::size_t producer,
+    std::size_t producers, std::uint64_t seed) {
+  std::vector<const PlannedStream*> mine;
+  for (const PlannedStream& s : plan) {
+    if (s.id % producers == producer) mine.push_back(&s);
+  }
+  std::vector<std::size_t> cursor(mine.size(), 0);
+  std::vector<std::size_t> live(mine.size());
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+  Xoshiro256 rng(seed);
+  std::vector<std::pair<std::uint32_t, const PlanEvent*>> out;
+  while (!live.empty()) {
+    const std::size_t li = rng.below(live.size());
+    const std::size_t i = live[li];
+    for (std::uint64_t run = 1 + rng.below(3);
+         run > 0 && cursor[i] < mine[i]->events.size(); --run) {
+      out.emplace_back(mine[i]->id, &mine[i]->events[cursor[i]++]);
+    }
+    if (cursor[i] == mine[i]->events.size()) {
+      live[li] = live.back();
+      live.pop_back();
+    }
+  }
+  return out;
+}
+
+void push_planned(StreamService::Producer p, std::uint32_t id,
+                  const PlanEvent& ev, const ScCheckerConfig& cfg) {
+  switch (ev.kind) {
+    case StreamEvent::Kind::Open: p.open(id, cfg); break;
+    case StreamEvent::Kind::Symbol: p.symbol(id, ev.sym); break;
+    case StreamEvent::Kind::StepEnd: p.step_end(id); break;
+    case StreamEvent::Kind::Close: p.close(id); break;
+  }
+}
+
+TEST(StreamDifferential, SeededStreamsMatchOfflineCheck) {
+  const std::vector<PlannedStream> plan = seeded_stream_plan();
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  constexpr std::size_t kProducers = 2;
+  StreamServiceStats want;
+  std::size_t violations = 0;
+  for (const PlannedStream& s : plan) {
+    want.events += s.events.size();
+    want.symbols += s.applied_symbols;
+    want.steps += s.applied_steps;
+    want.streams_opened += s.opened ? 1 : 0;
+    want.streams_closed += s.opened && s.state == StreamState::Closed;
+    want.streams_quarantined += s.state == StreamState::Quarantined;
+    want.discarded_events += s.discarded;
+    violations += s.verdict == RunVerdict::Violation;
+  }
+  ASSERT_GE(violations, 8u) << "the plan must exercise quarantine";
+  ASSERT_GT(want.streams_closed, 8u) << "and clean closes";
+
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE("window " + std::to_string(window) + ", " +
+                   std::to_string(workers) + " workers");
+      StreamServiceOptions opt;
+      opt.producers = kProducers;
+      opt.workers = workers;
+      opt.ring_capacity = 4;
+      opt.excerpt_window = window;
+      StreamService svc(opt);
+      svc.start();
+      std::vector<std::vector<std::pair<std::uint32_t, const PlanEvent*>>>
+          seqs;
+      for (std::size_t p = 0; p < kProducers; ++p) {
+        seqs.push_back(interleave(plan, p, kProducers, 7 * window + p));
+      }
+      const auto feed = [&](std::size_t p, std::size_t from, std::size_t to) {
+        StreamService::Producer prod = svc.producer(p);
+        for (std::size_t i = from; i < to && i < seqs[p].size(); ++i) {
+          const auto& [id, ev] = seqs[p][i];
+          push_planned(prod, id, *ev, plan[id].cfg);
+        }
+      };
+      if (workers == 0) {
+        // One thread alternates between the producers in chunks of 5.
+        const std::size_t longest =
+            std::max(seqs[0].size(), seqs[1].size());
+        for (std::size_t i = 0; i < longest; i += 5) {
+          feed(0, i, i + 5);
+          feed(1, i, i + 5);
+        }
+      } else {
+        std::vector<std::thread> feeders;
+        for (std::size_t p = 0; p < kProducers; ++p) {
+          feeders.emplace_back(feed, p, 0, seqs[p].size());
+        }
+        for (std::thread& t : feeders) t.join();
+      }
+      svc.stop();
+
+      for (const PlannedStream& s : plan) {
+        SCOPED_TRACE("stream " + std::to_string(s.id));
+        const auto rep = svc.report(s.id);
+        if (!s.opened) {
+          EXPECT_FALSE(rep.has_value());
+          continue;
+        }
+        ASSERT_TRUE(rep.has_value());
+        EXPECT_EQ(rep->state, s.state);
+        EXPECT_EQ(rep->verdict, s.verdict);
+        EXPECT_EQ(rep->reason, s.reason);
+        EXPECT_EQ(rep->steps, s.applied_steps);
+        EXPECT_EQ(rep->symbols, s.applied_symbols);
+        if (s.verdict != RunVerdict::Violation) {
+          EXPECT_FALSE(rep->excerpt.has_value());
+          continue;
+        }
+        ASSERT_TRUE(rep->excerpt.has_value());
+        EXPECT_EQ(*rep->excerpt, expected_excerpt(s, window));
+      }
+      const StreamServiceStats got = svc.stats();
+      EXPECT_EQ(got.events, want.events);
+      EXPECT_EQ(got.symbols, want.symbols);
+      EXPECT_EQ(got.steps, want.steps);
+      EXPECT_EQ(got.streams_opened, want.streams_opened);
+      EXPECT_EQ(got.streams_closed, want.streams_closed);
+      EXPECT_EQ(got.streams_quarantined, want.streams_quarantined);
+      EXPECT_EQ(got.discarded_events, want.discarded_events);
+    }
   }
 }
 
