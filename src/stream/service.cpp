@@ -1,15 +1,16 @@
 #include "stream/service.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace scv {
 
 StreamService::StreamService(const StreamServiceOptions& options)
     : opt_(options) {
   SCV_EXPECTS(opt_.producers >= 1);
-  rings_.resize(opt_.producers);
-  for (RingState& rs : rings_) {
-    rs.ring = std::make_unique<SpscRing<StreamEvent>>(opt_.ring_capacity);
+  rings_.reserve(opt_.producers);
+  for (std::size_t r = 0; r < opt_.producers; ++r) {
+    rings_.push_back(std::make_unique<RingState>(opt_.ring_capacity));
   }
 }
 
@@ -51,20 +52,24 @@ void StreamService::stop() {
 
 std::size_t StreamService::poll() {
   std::size_t total = 0;
-  for (RingState& rs : rings_) total += drain_ring(rs);
+  for (const std::unique_ptr<RingState>& rs : rings_) {
+    total += drain_ring(*rs);
+  }
   return total;
 }
 
 void StreamService::worker_main(std::size_t w, std::size_t stride) {
   for (;;) {
+    // Read the flag before draining: once it reads true, every event
+    // published before stop() is visible to this pass, so an empty pass
+    // means the rings are done.
+    const bool stopping = stop_.load(std::memory_order_acquire);
     std::size_t total = 0;
     for (std::size_t r = w; r < rings_.size(); r += stride) {
-      total += drain_ring(rings_[r]);
+      total += drain_ring(*rings_[r]);
     }
     if (total == 0) {
-      // Empty pass: only exit once producers are done (stop_ ordered after
-      // their last push), so everything published gets applied.
-      if (stop_.load(std::memory_order_acquire)) return;
+      if (stopping) return;
       std::this_thread::yield();
     }
   }
@@ -72,9 +77,9 @@ void StreamService::worker_main(std::size_t w, std::size_t stride) {
 
 std::size_t StreamService::drain_ring(RingState& rs) {
   StreamEvent batch[256];
-  const std::size_t n = rs.ring->drain(batch, std::size(batch));
+  const std::size_t n = rs.ring.drain(batch, std::size(batch));
   if (n == 0) return 0;
-  events_.fetch_add(n, std::memory_order_relaxed);
+  rs.events.add(n);
   for (std::size_t i = 0; i < n; ++i) apply(rs, batch[i]);
   return n;
 }
@@ -84,28 +89,32 @@ void StreamService::apply(RingState& rs, const StreamEvent& ev) {
     apply_open(rs, ev);
     return;
   }
-  const auto it = rs.index.find(ev.stream);
-  if (it == rs.index.end()) {
-    discarded_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  StreamContext* ctx = rs.current;
+  if (ctx == nullptr || ctx->stream != ev.stream) {
+    const auto it = rs.index.find(ev.stream);
+    if (it == rs.index.end()) {
+      rs.discarded.add(1);
+      return;
+    }
+    ctx = rs.arena[it->second].get();
+    rs.current = ctx;
   }
-  StreamContext& ctx = *rs.arena[it->second];
   switch (ev.kind) {
     case StreamEvent::Kind::Symbol:
-      // The steady-state hot path: one unpack + one push_back into a
-      // capacity-warm vector.
-      ctx.cur_step.push_back(unpack_symbol(ev.u.sym));
+      // The steady-state hot path: one unpack appended to a capacity-warm
+      // log.
+      append_unpacked(ev.u.sym, ctx->cur_syms);
       break;
     case StreamEvent::Kind::StepEnd:
-      apply_step_end(rs, ctx);
+      apply_step_end(rs, *ctx);
       break;
     case StreamEvent::Kind::Close:
       // Trailing symbols without a StepEnd count as a final implicit step.
-      if (!ctx.cur_step.empty()) {
-        apply_step_end(rs, ctx);
-        if (ctx.state != StreamState::Open) break;  // quarantined just now
+      if (ctx->cur_syms.size() > ctx->pending_begin()) {
+        apply_step_end(rs, *ctx);
+        if (ctx->state != StreamState::Open) break;  // quarantined just now
       }
-      finish_stream(rs, ctx, StreamState::Closed);
+      finish_stream(rs, *ctx);
       break;
     case StreamEvent::Kind::Open:
       break;  // handled above
@@ -118,34 +127,27 @@ void StreamService::apply_open(RingState& rs, const StreamEvent& ev) {
     // stream is quarantined (its checker state is no longer trustworthy)
     // and the new open is dropped.
     StreamContext& ctx = *rs.arena[it->second];
-    ctx.state = StreamState::Quarantined;
     StreamReport rep;
     rep.state = StreamState::Quarantined;
     rep.verdict = RunVerdict::TrackingInconsistent;
     rep.reason = "stream reopened before close";
     rep.steps = ctx.steps;
     rep.symbols = ctx.symbols;
-    {
-      const std::lock_guard<std::mutex> lock(reports_mu_);
-      reports_[ev.stream] = std::move(rep);
-    }
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    rs.free_list.push_back(it->second);
-    rs.index.erase(it);
+    publish_report(ev.stream, std::move(rep));
+    rs.quarantined.add(1);
+    ctx.state = StreamState::Quarantined;
+    release(rs, ctx);
     return;
   }
-  opened_.fetch_add(1, std::memory_order_relaxed);
+  rs.opened.add(1);
   const ScCheckerConfig cfg = unpack_config(ev.u.cfg);
   if (const std::string reason = cfg.invalid_reason(); !reason.empty()) {
     StreamReport rep;
     rep.state = StreamState::Quarantined;
     rep.verdict = RunVerdict::TrackingInconsistent;
     rep.reason = "invalid checker config: " + reason;
-    {
-      const std::lock_guard<std::mutex> lock(reports_mu_);
-      reports_[ev.stream] = std::move(rep);
-    }
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
+    publish_report(ev.stream, std::move(rep));
+    rs.quarantined.add(1);
     return;
   }
 
@@ -164,9 +166,10 @@ void StreamService::apply_open(RingState& rs, const StreamEvent& ev) {
   ctx.checker.emplace(cfg);
   ctx.steps = 0;
   ctx.symbols = 0;
-  ctx.cur_step.clear();
-  ctx.prev_fill = 0;
-  ctx.cur_fill = 0;
+  ctx.prev_syms.clear();
+  ctx.cur_syms.clear();
+  ctx.prev_ends.clear();
+  ctx.cur_ends.clear();
   ctx.dropped_before_prev = 0;
   ctx.rotated = false;
   ctx.snap_prev.clear();
@@ -177,44 +180,61 @@ void StreamService::apply_open(RingState& rs, const StreamEvent& ev) {
 
 void StreamService::apply_step_end(RingState& rs, StreamContext& ctx) {
   // Window rotation happens *before* the step is applied so snap_cur is
-  // always the checker state preceding cur_win[0].
-  if (opt_.excerpt_window != 0 && ctx.cur_fill == opt_.excerpt_window) {
+  // always the checker state preceding the current window's first step.
+  if (opt_.excerpt_window != 0 && ctx.cur_ends.size() == opt_.excerpt_window) {
     rotate_windows(ctx);
   }
-  const ScChecker::Status st = ctx.checker->feed_batch(ctx.cur_step);
+  const std::size_t begin = ctx.pending_begin();
+  const std::span<const Symbol> step(ctx.cur_syms.data() + begin,
+                                     ctx.cur_syms.size() - begin);
+  const ScChecker::Status st = ctx.checker->feed_batch(step);
   ++ctx.steps;
-  ctx.symbols += ctx.cur_step.size();
-  steps_.fetch_add(1, std::memory_order_relaxed);
-  symbols_.fetch_add(ctx.cur_step.size(), std::memory_order_relaxed);
+  ctx.symbols += step.size();
+  rs.steps.add(1);
+  rs.symbols.add(step.size());
   if (st == ScChecker::Status::Reject) {
     quarantine(rs, ctx);
+  } else if (opt_.excerpt_window == 0) {
+    ctx.cur_syms.clear();
   } else {
-    record_step(ctx);
+    ctx.cur_ends.push_back(ctx.cur_syms.size());  // record the step
   }
-  ctx.cur_step.clear();
 }
 
 void StreamService::rotate_windows(StreamContext& ctx) {
-  ctx.dropped_before_prev += ctx.prev_fill;
-  std::swap(ctx.prev_win, ctx.cur_win);
-  ctx.prev_fill = ctx.cur_fill;
-  ctx.cur_fill = 0;
+  ctx.dropped_before_prev += ctx.prev_ends.size();
+  std::swap(ctx.prev_syms, ctx.cur_syms);
+  std::swap(ctx.prev_ends, ctx.cur_ends);
+  // The pending step's symbols (past the window's last step) move to the
+  // front of the new current log; capacities are warm after the first
+  // rotations, so this copies without allocating.
+  const auto window_end =
+      ctx.prev_syms.begin() + static_cast<std::ptrdiff_t>(ctx.prev_ends.back());
+  ctx.cur_syms.assign(window_end, ctx.prev_syms.end());
+  ctx.prev_syms.erase(window_end, ctx.prev_syms.end());
+  ctx.cur_ends.clear();
   std::swap(ctx.snap_prev, ctx.snap_cur);
   ctx.snap_cur.clear();
   ctx.checker->snapshot(ctx.snap_cur);
   ctx.rotated = true;
 }
 
-void StreamService::record_step(StreamContext& ctx) {
-  if (opt_.excerpt_window == 0) return;
-  if (ctx.cur_win.size() <= ctx.cur_fill) {
-    ctx.cur_win.resize(ctx.cur_fill + 1);  // warmup only; capacity persists
+namespace {
+
+/// Appends the logged steps of one window to an excerpt.
+void append_window(const std::vector<Symbol>& syms,
+                   const std::vector<std::size_t>& ends,
+                   std::vector<RunStep>& out) {
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    RunStep& step = out.emplace_back();
+    step.symbols.assign(syms.begin() + static_cast<std::ptrdiff_t>(begin),
+                        syms.begin() + static_cast<std::ptrdiff_t>(end));
+    begin = end;
   }
-  RunStep& slot = ctx.cur_win[ctx.cur_fill++];
-  slot.action.clear();
-  // Symbols are flat variants of PODs: assign reuses the slot's capacity.
-  slot.symbols.assign(ctx.cur_step.begin(), ctx.cur_step.end());
 }
+
+}  // namespace
 
 void StreamService::quarantine(RingState& rs, StreamContext& ctx) {
   StreamReport rep;
@@ -231,49 +251,49 @@ void StreamService::quarantine(RingState& rs, StreamContext& ctx) {
     ex.reason = ctx.checker->reject_reason();
     if (ctx.rotated) {
       // Earlier windows were dropped: the excerpt replays from the
-      // snapshot taken before prev_win[0].
+      // snapshot taken before the previous window's first step.
       ex.dropped_steps = ctx.dropped_before_prev;
       ex.base_state = ctx.snap_prev.data();
     }
-    ex.steps.reserve(ctx.prev_fill + ctx.cur_fill + 1);
-    for (std::size_t i = 0; i < ctx.prev_fill; ++i) {
-      ex.steps.push_back(ctx.prev_win[i]);
-    }
-    for (std::size_t i = 0; i < ctx.cur_fill; ++i) {
-      ex.steps.push_back(ctx.cur_win[i]);
-    }
+    ex.steps.reserve(ctx.prev_ends.size() + ctx.cur_ends.size() + 1);
+    append_window(ctx.prev_syms, ctx.prev_ends, ex.steps);
+    append_window(ctx.cur_syms, ctx.cur_ends, ex.steps);
     // The failing step itself (feed_batch stopped inside it; replaying the
     // full step is equivalent — the reject is sticky and first-wins).
-    RunStep last;
-    last.symbols.assign(ctx.cur_step.begin(), ctx.cur_step.end());
-    ex.steps.push_back(std::move(last));
+    RunStep& last = ex.steps.emplace_back();
+    last.symbols.assign(
+        ctx.cur_syms.begin() + static_cast<std::ptrdiff_t>(ctx.pending_begin()),
+        ctx.cur_syms.end());
     rep.excerpt = std::move(ex);
   }
-  {
-    const std::lock_guard<std::mutex> lock(reports_mu_);
-    reports_[ctx.stream] = std::move(rep);
-  }
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  publish_report(ctx.stream, std::move(rep));
+  rs.quarantined.add(1);
   ctx.state = StreamState::Quarantined;
-  rs.free_list.push_back(rs.index.at(ctx.stream));
-  rs.index.erase(ctx.stream);
+  release(rs, ctx);
 }
 
-void StreamService::finish_stream(RingState& rs, StreamContext& ctx,
-                                  StreamState state) {
+void StreamService::finish_stream(RingState& rs, StreamContext& ctx) {
   StreamReport rep;
-  rep.state = state;
+  rep.state = StreamState::Closed;
   rep.verdict = RunVerdict::Accepted;
   rep.steps = ctx.steps;
   rep.symbols = ctx.symbols;
-  {
-    const std::lock_guard<std::mutex> lock(reports_mu_);
-    reports_[ctx.stream] = std::move(rep);
-  }
-  closed_.fetch_add(1, std::memory_order_relaxed);
-  ctx.state = state;
-  rs.free_list.push_back(rs.index.at(ctx.stream));
-  rs.index.erase(ctx.stream);
+  publish_report(ctx.stream, std::move(rep));
+  rs.closed.add(1);
+  ctx.state = StreamState::Closed;
+  release(rs, ctx);
+}
+
+void StreamService::release(RingState& rs, StreamContext& ctx) {
+  const auto it = rs.index.find(ctx.stream);
+  rs.free_list.push_back(it->second);
+  rs.index.erase(it);
+  if (rs.current == &ctx) rs.current = nullptr;
+}
+
+void StreamService::publish_report(std::uint32_t stream, StreamReport&& rep) {
+  const std::lock_guard<std::mutex> lock(reports_mu_);
+  reports_[stream] = std::move(rep);
 }
 
 std::optional<StreamReport> StreamService::report(
@@ -286,64 +306,81 @@ std::optional<StreamReport> StreamService::report(
 
 StreamServiceStats StreamService::stats() const {
   StreamServiceStats s;
-  s.events = events_.load(std::memory_order_relaxed);
-  s.symbols = symbols_.load(std::memory_order_relaxed);
-  s.steps = steps_.load(std::memory_order_relaxed);
-  s.streams_opened = opened_.load(std::memory_order_relaxed);
-  s.streams_closed = closed_.load(std::memory_order_relaxed);
-  s.streams_quarantined = quarantined_.load(std::memory_order_relaxed);
-  s.backpressure_stalls = stalls_.load(std::memory_order_relaxed);
-  s.discarded_events = discarded_.load(std::memory_order_relaxed);
+  for (const std::unique_ptr<RingState>& rs : rings_) {
+    s.events += rs->events.load();
+    s.symbols += rs->symbols.load();
+    s.steps += rs->steps.load();
+    s.streams_opened += rs->opened.load();
+    s.streams_closed += rs->closed.load();
+    s.streams_quarantined += rs->quarantined.load();
+    s.backpressure_stalls += rs->stalls.load();
+    s.discarded_events += rs->discarded.load();
+  }
   return s;
 }
 
 // --- Producer ------------------------------------------------------------
 
-void StreamService::Producer::push(const StreamEvent& ev) {
-  SpscRing<StreamEvent>& ring = *svc_->rings_[ring_].ring;
-  while (!ring.try_push(ev)) {
-    svc_->stalls_.fetch_add(1, std::memory_order_relaxed);
-    if (svc_->opt_.workers == 0 && svc_->threads_.empty()) {
-      // Poll mode: producer and consumer share the caller's thread, so a
-      // full ring must be drained inline or the push would spin forever.
-      (void)svc_->drain_ring(svc_->rings_[ring_]);
-    } else {
-      std::this_thread::yield();  // backpressure: stall, never drop
-    }
+template <typename Fill>
+void StreamService::Producer::push(const Fill& fill, bool publish) {
+  SpscRing<StreamEvent>& ring = rs_->ring;
+  if (!ring.try_stage_with(fill)) {
+    // Full: publish what is staged first, so a step longer than the ring
+    // drains instead of deadlocking.
+    ring.publish();
+    do {
+      rs_->stalls.add(1);
+      if (svc_->opt_.workers == 0 && svc_->threads_.empty()) {
+        // Poll mode: producer and consumer share the caller's thread, so a
+        // full ring must be drained inline or the push would spin forever.
+        (void)svc_->drain_ring(*rs_);
+      } else {
+        std::this_thread::yield();  // backpressure: stall, never drop
+      }
+    } while (!ring.try_stage_with(fill));
   }
+  if (publish) ring.publish();
 }
 
 void StreamService::Producer::open(std::uint32_t stream,
                                    const ScCheckerConfig& cfg) {
-  StreamEvent ev;
-  ev.stream = stream;
-  ev.kind = StreamEvent::Kind::Open;
-  ev.u.cfg = pack_config(cfg);
-  push(ev);
+  push(
+      [&](StreamEvent& ev) {
+        ev.stream = stream;
+        ev.kind = StreamEvent::Kind::Open;
+        ev.u.cfg = pack_config(cfg);
+      },
+      /*publish=*/true);
 }
 
 void StreamService::Producer::symbol(std::uint32_t stream, const Symbol& sym) {
-  StreamEvent ev;
-  ev.stream = stream;
-  ev.kind = StreamEvent::Kind::Symbol;
-  ev.u.sym = pack_symbol(sym);
-  push(ev);
+  push(
+      [&](StreamEvent& ev) {
+        ev.stream = stream;
+        ev.kind = StreamEvent::Kind::Symbol;
+        ev.u.sym = pack_symbol(sym);
+      },
+      /*publish=*/false);
 }
 
 void StreamService::Producer::step_end(std::uint32_t stream) {
-  StreamEvent ev;
-  ev.stream = stream;
-  ev.kind = StreamEvent::Kind::StepEnd;
-  ev.u.sym = PackedSymbol{};
-  push(ev);
+  push(
+      [&](StreamEvent& ev) {
+        ev.stream = stream;
+        ev.kind = StreamEvent::Kind::StepEnd;
+        ev.u.sym = PackedSymbol{};
+      },
+      /*publish=*/true);
 }
 
 void StreamService::Producer::close(std::uint32_t stream) {
-  StreamEvent ev;
-  ev.stream = stream;
-  ev.kind = StreamEvent::Kind::Close;
-  ev.u.sym = PackedSymbol{};
-  push(ev);
+  push(
+      [&](StreamEvent& ev) {
+        ev.stream = stream;
+        ev.kind = StreamEvent::Kind::Close;
+        ev.u.sym = PackedSymbol{};
+      },
+      /*publish=*/true);
 }
 
 }  // namespace scv

@@ -11,13 +11,21 @@
 // drains every ring on the calling thread (deterministic, allocation-
 // countable — the mode the differential and zero-allocation tests drive).
 //
+// The unit of work is the descriptor step on both sides of the ring.  A
+// producer stages a step's Symbol events and publishes them together with
+// its StepEnd in one release store, so a symbol reaches the service at the
+// next publishing call (step_end, close or open) on its producer.  The
+// worker builds each step in place in a flat per-stream symbol log, feeds
+// it to ScChecker::feed_batch as one span, and records it for the excerpt
+// window by pushing its end offset.
+//
 // Per-stream state is arena-pooled: each ring owns a pool of StreamContext
-// records (checker instance + step/excerpt scratch) that are recycled
-// through a free list on close, so a long-lived service opening and closing
-// millions of short streams reuses the same warmed-up buffers instead of
-// allocating per stream.  The steady-state ingest path — Symbol events into
-// the current step, StepEnd feeding ScChecker::feed_batch — performs no
-// heap allocation once a stream's buffers have warmed (asserted by test).
+// records (checker instance + symbol logs) that are recycled through a free
+// list on close, so a long-lived service opening and closing millions of
+// short streams reuses the same warmed-up buffers instead of allocating per
+// stream.  The steady-state ingest path — Symbol events appended to the
+// log, StepEnd feeding the checker — performs no heap allocation once a
+// stream's buffers have warmed (asserted by test).
 //
 // Verdicts: a violating stream is *quarantined* — its verdict, reason and a
 // replayable SCVR excerpt (the last two step windows plus the checker
@@ -26,11 +34,15 @@
 // Clean streams publish Accepted on Close.  Reports cross threads through
 // a mutex-guarded map written only on these cold transitions.
 //
-// Backpressure: rings are bounded; Producer::push spins (with yield) when
-// full, so ingest stalls instead of dropping events or growing memory —
-// and the stall count is reported in the service stats.
+// Backpressure: rings are bounded; a push that finds its ring full
+// publishes what it staged and then spins (with yield) until the worker
+// frees a slot, so ingest stalls instead of dropping events or growing
+// memory — and the stall count is reported in the service stats.  Every
+// counter lives with its ring and has a single writing thread; stats()
+// sums them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,7 +91,8 @@ struct StreamReport {
   std::optional<RunTrace> excerpt;
 };
 
-/// Monotonic service-wide counters (relaxed atomics, exact after stop()).
+/// Monotonic service-wide counters, summed over the rings (exact after
+/// stop()).
 struct StreamServiceStats {
   std::uint64_t events = 0;
   std::uint64_t symbols = 0;
@@ -92,6 +105,8 @@ struct StreamServiceStats {
 };
 
 class StreamService {
+  struct RingState;
+
  public:
   explicit StreamService(const StreamServiceOptions& options);
   StreamService(const StreamService&) = delete;
@@ -102,6 +117,10 @@ class StreamService {
   /// thread may use a given producer at a time (the SPSC contract).  Stream
   /// IDs are caller-chosen and service-global; a stream belongs to the
   /// producer that opened it.
+  ///
+  /// Visibility: symbol() only stages its event; step_end(), close() and
+  /// open() publish everything staged on this producer, so a symbol reaches
+  /// the service at the next publishing call on its producer.
   class Producer {
    public:
     void open(std::uint32_t stream, const ScCheckerConfig& cfg);
@@ -111,10 +130,14 @@ class StreamService {
 
    private:
     friend class StreamService;
-    Producer(StreamService& svc, std::size_t ring) : svc_(&svc), ring_(ring) {}
-    void push(const StreamEvent& ev);
+    Producer(StreamService& svc, std::size_t ring)
+        : svc_(&svc), rs_(svc.rings_[ring].get()) {}
+    /// Stages one event, written in place by `fill(StreamEvent&)`, and
+    /// publishes everything staged when `publish` is set.
+    template <typename Fill>
+    void push(const Fill& fill, bool publish);
     StreamService* svc_;
-    std::size_t ring_;
+    RingState* rs_;
   };
 
   [[nodiscard]] Producer producer(std::size_t i);
@@ -151,52 +174,80 @@ class StreamService {
     std::uint64_t steps = 0;
     std::uint64_t symbols = 0;
 
-    // Current step accumulator (symbols between StepEnds).
-    std::vector<Symbol> cur_step;
-
-    // Excerpt double-window: prev/cur hold the last up-to-2*W applied
-    // steps; snap_prev is the checker snapshot taken *before* prev[0], so
-    // base+prev+cur+failing-step replays exactly.  Rotation shifts cur to
-    // prev and re-snapshots, dropping the oldest window.
-    std::vector<RunStep> prev_win, cur_win;
-    std::size_t prev_fill = 0, cur_fill = 0;
+    // Excerpt double-window as two flat symbol logs.  cur_syms holds the
+    // current window's recorded steps followed by the pending step (the
+    // symbols since the last StepEnd); cur_ends[i] is the end offset of
+    // the window's step i.  prev_* hold the previous window, and snap_prev
+    // is the checker snapshot taken *before* its first step, so
+    // base+prev+cur+failing-step replays exactly.  Rotation moves cur to
+    // prev and re-snapshots, dropping the oldest window.  With
+    // excerpt_window == 0 the log holds only the pending step.
+    std::vector<Symbol> prev_syms, cur_syms;
+    std::vector<std::size_t> prev_ends, cur_ends;
     ByteWriter snap_prev, snap_cur;
     std::uint64_t dropped_before_prev = 0;
     bool rotated = false;  ///< any window was ever dropped into the base
+
+    /// Offset of the pending step in cur_syms.
+    [[nodiscard]] std::size_t pending_begin() const noexcept {
+      return cur_ends.empty() ? 0 : cur_ends.back();
+    }
+  };
+
+  /// A counter with one writing thread: a relaxed load and store instead
+  /// of a locked read-modify-write.  stats() reads it from any thread.
+  class OwnedCounter {
+   public:
+    void add(std::uint64_t n) noexcept {
+      v_.store(v_.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t load() const noexcept {
+      return v_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint64_t> v_{0};
   };
 
   struct RingState {
-    std::unique_ptr<SpscRing<StreamEvent>> ring;
-    // Stream directory + context arena, touched only by the one worker
-    // draining this ring.
+    explicit RingState(std::size_t capacity) : ring(capacity) {}
+    SpscRing<StreamEvent> ring;
+
+    // Stream directory, context arena and counters, touched only by the
+    // one worker draining this ring.  `current` is the context of the last
+    // event's stream (cleared when that context is released), so events
+    // that follow one of their own stream skip the map lookup.
+    alignas(64) StreamContext* current = nullptr;
     std::unordered_map<std::uint32_t, std::uint32_t> index;
     std::vector<std::unique_ptr<StreamContext>> arena;
     std::vector<std::uint32_t> free_list;
+    OwnedCounter events, symbols, steps;
+    OwnedCounter opened, closed, quarantined, discarded;
+
+    // Written by the producer when it finds the ring full.
+    alignas(64) OwnedCounter stalls;
   };
 
   void apply(RingState& rs, const StreamEvent& ev);
   void apply_open(RingState& rs, const StreamEvent& ev);
   void apply_step_end(RingState& rs, StreamContext& ctx);
-  void finish_stream(RingState& rs, StreamContext& ctx, StreamState state);
+  void finish_stream(RingState& rs, StreamContext& ctx);
   void quarantine(RingState& rs, StreamContext& ctx);
+  void release(RingState& rs, StreamContext& ctx);
+  void publish_report(std::uint32_t stream, StreamReport&& rep);
   void rotate_windows(StreamContext& ctx);
-  void record_step(StreamContext& ctx);
   std::size_t drain_ring(RingState& rs);
   void worker_main(std::size_t w, std::size_t stride);
 
   StreamServiceOptions opt_;
-  std::vector<RingState> rings_;
+  std::vector<std::unique_ptr<RingState>> rings_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
   mutable std::mutex reports_mu_;
   std::unordered_map<std::uint32_t, StreamReport> reports_;
-
-  // Service-wide counters (see StreamServiceStats).
-  std::atomic<std::uint64_t> events_{0}, symbols_{0}, steps_{0};
-  std::atomic<std::uint64_t> opened_{0}, closed_{0}, quarantined_{0};
-  std::atomic<std::uint64_t> stalls_{0}, discarded_{0};
 };
 
 }  // namespace scv

@@ -4,8 +4,12 @@
 // exactly one verifier worker, so the strongest queue discipline needed
 // anywhere is SPSC — which admits the classic Lamport ring: two monotonic
 // indices, each written by one side only, with release/acquire pairing on
-// the index stores.  Two refinements matter for the ingest hot path:
+// the index stores.  Three refinements matter for the ingest hot path:
 //
+//   * staged publication: the producer writes slots with try_stage() and
+//     makes all of them visible with one release store in publish(), so a
+//     whole descriptor step crosses the ring for one shared-line write
+//     (try_push is stage + publish);
 //   * cached peer indices: the producer re-reads the consumer's head (and
 //     vice versa) only when its cached copy says the ring looks full/empty,
 //     so steady-state pushes and drains touch a single shared cache line
@@ -45,16 +49,34 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
-  /// Producer side.  False when the ring is full — the caller owns the
-  /// backpressure policy (spin, yield, or surface the stall).
-  bool try_push(const T& v) noexcept {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
+  /// Producer side: writes the next slot without making it visible to the
+  /// consumer.  False when the ring is full (staged slots count as used) —
+  /// the caller owns the backpressure policy, and must publish() before it
+  /// waits, or the consumer can never free a slot.
+  bool try_stage(const T& v) noexcept {
+    return try_stage_with([&](T& slot) { slot = v; });
+  }
+
+  /// try_stage that lets `fill(T&)` write the slot's fields in place, so a
+  /// value built field by field is never reloaded whole from a temporary.
+  template <typename Fill>
+  bool try_stage_with(Fill&& fill) noexcept {
+    if (write_ - cached_head_ > mask_) {
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) return false;
+      if (write_ - cached_head_ > mask_) return false;
     }
-    slots_[tail & mask_] = v;
-    tail_.store(tail + 1, std::memory_order_release);
+    fill(slots_[write_ & mask_]);
+    ++write_;
+    return true;
+  }
+
+  /// Producer side: publishes every staged slot with one release store.
+  void publish() noexcept { tail_.store(write_, std::memory_order_release); }
+
+  /// Producer side: stage + publish.  False when the ring is full.
+  bool try_push(const T& v) noexcept {
+    if (!try_stage(v)) return false;
+    publish();
     return true;
   }
 
@@ -76,7 +98,7 @@ class SpscRing {
     return n;
   }
 
-  /// Approximate occupancy (exact from the calling side's own view).
+  /// Approximate published occupancy (exact from the calling side's view).
   [[nodiscard]] std::size_t size() const noexcept {
     return tail_.load(std::memory_order_acquire) -
            head_.load(std::memory_order_acquire);
@@ -85,15 +107,18 @@ class SpscRing {
 
  private:
   // Hot indices on separate cache lines: head_ is written by the consumer,
-  // tail_ by the producer, and each side's cached peer copy is private to
-  // it — the only cross-core traffic is the index each side publishes.
+  // tail_ by the producer, and each side's private state sits on a line of
+  // its own — the only cross-core traffic is the index each side publishes.
   alignas(64) std::atomic<std::size_t> head_{0};
   alignas(64) std::size_t cached_tail_ = 0;  ///< consumer-private
   alignas(64) std::atomic<std::size_t> tail_{0};
-  alignas(64) std::size_t cached_head_ = 0;  ///< producer-private
+  alignas(64) std::size_t write_ = 0;        ///< producer-private: next slot
+  std::size_t cached_head_ = 0;              ///< producer-private
 
-  std::size_t mask_;
-  std::unique_ptr<T[]> slots_;
+  // Read by both sides on every call and written by neither after
+  // construction, so they share no line with a written field.
+  alignas(64) const std::size_t mask_;
+  const std::unique_ptr<T[]> slots_;
 };
 
 }  // namespace scv

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "checker/sc_checker.hpp"
 #include "descriptor/symbol.hpp"
@@ -56,23 +57,37 @@ struct PackedSymbol {
   return p;
 }
 
-[[nodiscard]] inline Symbol unpack_symbol(const PackedSymbol& p) noexcept {
+/// Calls `make` with the descriptor alternative `p` packs (a NodeDesc,
+/// EdgeDesc or AddId value) and returns its result.
+template <typename Make>
+decltype(auto) visit_unpacked(const PackedSymbol& p, Make&& make) {
   switch (p.tag) {
     case 0:
-      return NodeDesc{p.a, std::nullopt};
+      return make(NodeDesc{p.a, std::nullopt});
     case 1: {
       Operation op;
       op.kind = static_cast<OpKind>(p.kind & 1);
       op.proc = p.proc;
       op.block = p.block;
       op.value = p.value;
-      return NodeDesc{p.a, op};
+      return make(NodeDesc{p.a, op});
     }
     case 2:
-      return EdgeDesc{p.a, p.b, p.anno};
+      return make(EdgeDesc{p.a, p.b, p.anno});
     default:
-      return AddId{p.a, p.b};
+      return make(AddId{p.a, p.b});
   }
+}
+
+[[nodiscard]] inline Symbol unpack_symbol(const PackedSymbol& p) noexcept {
+  return visit_unpacked(p, [](const auto& alt) -> Symbol { return alt; });
+}
+
+/// Appends the symbol `p` packs to `log`, built in place: copying a
+/// temporary Symbol into the log reloads it whole right after it was
+/// stored piecewise, a store-forwarding stall on every symbol.
+inline void append_unpacked(const PackedSymbol& p, std::vector<Symbol>& log) {
+  visit_unpacked(p, [&](const auto& alt) { log.emplace_back(alt); });
 }
 
 /// Flattened ScCheckerConfig for the Open event.  The exploration-only
