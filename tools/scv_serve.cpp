@@ -17,9 +17,12 @@
 // and replays it as N concurrent streams: a quick self-contained way to
 // load the service without trace files on hand.
 //
-//   --workers N            verifier threads (default 1; 0 = poll mode)
-//   --producers N          ingest rings, files/streams round-robin (default 1)
-//   --ring-capacity N      events per ring, power of two (default 16384)
+//   --workers N            verifier threads (default 1; 0 = poll mode;
+//                          at most 256)
+//   --producers N          ingest rings, files/streams round-robin (default 1;
+//                          at most 256)
+//   --ring-capacity N      events per ring, power of two (default 16384;
+//                          at most 2^24)
 //   --window N             excerpt window in steps (default 32; 0 = off)
 //   --model sc|tso|coherence   model for --generate walks (default sc)
 //   --steps N              steps per generated stream (default 200)
@@ -47,6 +50,12 @@
 
 namespace {
 
+// Each producer is a ring allocated up front (and, with workers, a feeder
+// thread) and each worker is a thread, so out-of-range sizes are usage
+// errors rather than allocation failures.
+constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 24;  // events
+constexpr std::size_t kMaxThreads = 256;  // each of --workers, --producers
+
 int usage() {
   std::fprintf(
       stderr,
@@ -54,7 +63,10 @@ int usage() {
       "                 [--window N] [--export-quarantine DIR] [--stats]\n"
       "                 [--quiet] trace-file...\n"
       "       scv_serve --generate N [--protocol ID] [--model M] [--steps N]\n"
-      "                 [--seed N] [common options]\n");
+      "                 [--seed N] [common options]\n"
+      "limits: --workers and --producers at most %zu each; --ring-capacity\n"
+      "        a power of two from 2 to %zu (2^24) events\n",
+      kMaxThreads, kMaxRingCapacity);
   return 2;
 }
 
@@ -86,15 +98,21 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--workers") {
-      if (!parse_size(next, opt.workers)) return usage();
+      if (!parse_size(next, opt.workers) || opt.workers > kMaxThreads) {
+        return usage();
+      }
       ++i;
     } else if (arg == "--producers") {
-      if (!parse_size(next, opt.producers) || opt.producers == 0) {
+      if (!parse_size(next, opt.producers) || opt.producers == 0 ||
+          opt.producers > kMaxThreads) {
         return usage();
       }
       ++i;
     } else if (arg == "--ring-capacity") {
-      if (!parse_size(next, opt.ring_capacity)) return usage();
+      if (!parse_size(next, opt.ring_capacity) ||
+          opt.ring_capacity > kMaxRingCapacity) {
+        return usage();
+      }
       ++i;
     } else if (arg == "--window") {
       if (!parse_size(next, opt.excerpt_window)) return usage();
