@@ -18,6 +18,10 @@
 //     affinity budget are marked oversubscribed and never gate — same
 //     discipline as BENCH_mc.json's scaling rows.
 //
+// Every row repeats its unit of work until one timed run lasts at least
+// kMinRunSeconds, then records the median of kReps runs with the fastest
+// and slowest run's rate beside it, so a row's spread is in the file.
+//
 // A verdict-parity self-check (service report vs offline check_trace on
 // the identical load) is recorded in the JSON; the gate fails on any
 // mismatch.
@@ -46,7 +50,8 @@
 namespace scv {
 namespace {
 
-constexpr int kReps = 3;
+constexpr int kReps = 5;
+constexpr double kMinRunSeconds = 0.2;
 constexpr std::size_t kWalkSteps = 1500;
 constexpr std::size_t kStreamCounts[] = {1, 64, 256, 1024};
 
@@ -96,18 +101,59 @@ double now_seconds() {
       .count();
 }
 
-/// Median of kReps timed runs after one discarded warmup.
+/// Timing of one row: kReps runs, each repeating the row's unit of work
+/// until at least kMinRunSeconds have passed.  The median run is the row's
+/// result; the slowest and fastest runs' rates give its spread.
+struct Timing {
+  double symbols = 0;  ///< symbols checked in the median run
+  double seconds = 0;  ///< the median run's wall time
+  double min_rate = 0;
+  double max_rate = 0;
+  [[nodiscard]] double rate() const { return symbols / seconds; }
+};
+
+/// One discarded warmup, then kReps timed runs of `fn`, which checks
+/// `unit_symbols` symbols per call.
 template <typename Fn>
-double median_seconds(Fn&& fn) {
+Timing time_row(double unit_symbols, Fn&& fn) {
   fn();  // warmup: page in, warm arenas
-  double secs[kReps];
-  for (double& s : secs) {
+  Timing runs[kReps];
+  for (Timing& run : runs) {
     const double t0 = now_seconds();
-    fn();
-    s = now_seconds() - t0;
+    do {
+      fn();
+      run.symbols += unit_symbols;
+      run.seconds = now_seconds() - t0;
+    } while (run.seconds < kMinRunSeconds);
   }
-  std::sort(std::begin(secs), std::end(secs));
-  return secs[kReps / 2];
+  std::sort(std::begin(runs), std::end(runs),
+            [](const Timing& x, const Timing& y) {
+              return x.rate() < y.rate();
+            });
+  Timing t = runs[kReps / 2];
+  t.min_rate = runs[0].rate();
+  t.max_rate = runs[kReps - 1].rate();
+  return t;
+}
+
+/// "4097920 symbols | 0.297s | 13.8M symbols/s (13.0M-14.3M)": the median
+/// run, then the slowest and fastest runs' rates.
+std::string format_timing(const Timing& t) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "%9.0f symbols | %6.3fs | %5.1fM symbols/s (%.1fM-%.1fM)",
+                t.symbols, t.seconds, t.rate() / 1e6, t.min_rate / 1e6,
+                t.max_rate / 1e6);
+  return buf;
+}
+
+/// The timing fields of one JSON row.
+void write_timing(std::ostream& out, const Timing& t) {
+  out << "\"symbols\": " << static_cast<std::uint64_t>(t.symbols)
+      << ", \"seconds\": " << t.seconds
+      << ", \"symbols_per_sec\": " << t.rate()
+      << ", \"min_symbols_per_sec\": " << t.min_rate
+      << ", \"max_symbols_per_sec\": " << t.max_rate;
 }
 
 std::size_t trace_symbols(const RunTrace& t) {
@@ -120,9 +166,7 @@ std::size_t trace_symbols(const RunTrace& t) {
 
 struct HotRow {
   std::string model;
-  std::size_t symbols = 0;
-  std::size_t steps = 0;
-  double seconds = 0;
+  Timing timing;
 };
 
 HotRow bench_hot_path(const RunTrace& walk, const std::string& model_name,
@@ -132,9 +176,8 @@ HotRow bench_hot_path(const RunTrace& walk, const std::string& model_name,
   checker.snapshot(init);
   HotRow row;
   row.model = model_name;
-  row.symbols = trace_symbols(walk) * replays;
-  row.steps = walk.steps.size() * replays;
-  row.seconds = median_seconds([&] {
+  const auto unit = static_cast<double>(trace_symbols(walk) * replays);
+  row.timing = time_row(unit, [&] {
     for (std::size_t i = 0; i < replays; ++i) {
       ByteReader r(init.data());
       checker.restore(r);
@@ -153,9 +196,8 @@ struct ServiceRow {
   std::size_t producers = 0;
   std::size_t workers = 0;
   std::size_t threads_used = 0;  ///< producers + workers (1 in poll mode)
-  std::uint64_t symbols = 0;
-  std::uint64_t stalls = 0;
-  double seconds = 0;
+  std::uint64_t stalls = 0;      ///< in the last service run
+  Timing timing;
   bool parity = true;  ///< every stream's report matched check_trace
 };
 
@@ -181,12 +223,12 @@ ServiceRow bench_service(const RunTrace& walk, std::size_t streams,
   row.producers = producers;
   row.workers = workers;
   row.threads_used = workers == 0 ? 1 : producers + workers;
-  row.symbols = trace_symbols(walk) * streams;
 
   const TraceCheckResult offline = check_trace(walk);
   std::uint64_t stalls = 0;
   bool parity = true;
-  row.seconds = median_seconds([&] {
+  const auto unit = static_cast<double>(trace_symbols(walk) * streams);
+  row.timing = time_row(unit, [&] {
     StreamServiceOptions opt;
     opt.producers = producers;
     opt.workers = workers;
@@ -260,24 +302,26 @@ int main() {
     }
     hot_rows.push_back(bench_hot_path(walk, name, /*replays=*/20));
     const HotRow& h = hot_rows.back();
-    std::printf("  hot_path %-9s | %8zu symbols | %6.3fs | %9.0f symbols/s\n",
-                name, h.symbols, h.seconds,
-                static_cast<double>(h.symbols) / h.seconds);
+    std::printf("  hot_path %-9s | %s\n", name,
+                format_timing(h.timing).c_str());
     std::fflush(stdout);
     if (std::string(name) == "sc") sc_walk = std::move(walk);
   }
 
   // Poll-mode headline: streams fed and verified sequentially on ONE
   // thread, so the row is meaningful (and gates) on any host, including
-  // 1-CPU CI runners.  64 streams back to back just stretches the run to
-  // a measurable length; per-stream behavior is identical to 1.
+  // 1-CPU CI runners.  Its unit of work is 64 streams back to back;
+  // per-stream behavior is identical to 1.
   const ServiceRow single =
       bench_service(sc_walk, /*streams=*/64, /*producers=*/1, /*workers=*/0);
   parity = parity && single.parity;
-  std::printf("  single_stream (poll) | %8llu symbols | %6.3fs | "
-              "%9.0f symbols/s\n",
-              static_cast<unsigned long long>(single.symbols), single.seconds,
-              static_cast<double>(single.symbols) / single.seconds);
+  std::printf("  single_stream (poll) | %s\n",
+              format_timing(single.timing).c_str());
+  // ROADMAP item 6's target: the poll-mode service keeps at least 70% of
+  // the bare checker's rate on the same walk.
+  const double single_share =
+      single.timing.rate() / hot_rows.front().timing.rate();
+  std::printf("  single_stream / hot_path sc: %.0f%%\n", 100 * single_share);
   std::fflush(stdout);
 
   std::vector<ServiceRow> sweep;
@@ -286,12 +330,10 @@ int main() {
     const ServiceRow row = bench_service(sc_walk, streams, par, par);
     parity = parity && row.parity;
     sweep.push_back(row);
-    std::printf("  service %4zu streams | %zup+%zuw%s | %9llu symbols | "
-                "%6.3fs | %9.0f symbols/s | %llu stalls\n",
+    std::printf("  service %4zu streams | %zup+%zuw%s | %s | %llu stalls\n",
                 streams, row.producers, row.workers,
                 row.threads_used > cpus ? " (oversub)" : "",
-                static_cast<unsigned long long>(row.symbols), row.seconds,
-                static_cast<double>(row.symbols) / row.seconds,
+                format_timing(row.timing).c_str(),
                 static_cast<unsigned long long>(row.stalls));
     std::fflush(stdout);
   }
@@ -305,15 +347,15 @@ int main() {
       << "  \"affinity_cpus\": " << cpus << ",\n"
       << "  \"affinity_mask\": \"" << affinity_mask_string() << "\",\n"
       << "  \"reps\": " << kReps << ",\n"
+      << "  \"min_run_seconds\": " << kMinRunSeconds << ",\n"
       << "  \"verdict_parity\": " << (parity ? "true" : "false") << ",\n"
+      << "  \"single_stream_share_of_hot_path_sc\": " << single_share << ",\n"
       << "  \"hot_path\": [\n";
   for (std::size_t i = 0; i < hot_rows.size(); ++i) {
     const HotRow& h = hot_rows[i];
-    out << "    {\"model\": \"" << h.model << "\", \"symbols\": " << h.symbols
-        << ", \"steps\": " << h.steps << ", \"seconds\": " << h.seconds
-        << ", \"symbols_per_sec\": "
-        << static_cast<double>(h.symbols) / h.seconds
-        << ", \"gating\": true}" << (i + 1 < hot_rows.size() ? "," : "")
+    out << "    {\"model\": \"" << h.model << "\", ";
+    write_timing(out, h.timing);
+    out << ", \"gating\": true}" << (i + 1 < hot_rows.size() ? "," : "")
         << "\n";
   }
   const auto service_row = [&](const ServiceRow& r) {
@@ -323,10 +365,9 @@ int main() {
         << ", \"threads_used\": " << r.threads_used
         << ", \"oversubscribed\": " << (oversub ? "true" : "false")
         << ", \"gating\": " << (oversub ? "false" : "true")
-        << ", \"symbols\": " << r.symbols << ", \"seconds\": " << r.seconds
-        << ", \"symbols_per_sec\": "
-        << static_cast<double>(r.symbols) / r.seconds
-        << ", \"backpressure_stalls\": " << r.stalls << "}";
+        << ", ";
+    write_timing(out, r.timing);
+    out << ", \"backpressure_stalls\": " << r.stalls << "}";
   };
   out << "  ],\n  \"single_stream\": ";
   service_row(single);
