@@ -1,11 +1,46 @@
 #include "mc/por.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <tuple>
 
-#include "mc/product.hpp"
-
 namespace scv {
+namespace {
+
+/// Full-identity transition comparison.  Action classes are not enough:
+/// protocols emit distinct transitions with identical actions that differ
+/// only in their copy labels (GetSharedToy's Get-Shared picks both a source
+/// and a destination slot), so independence checks must match transitions
+/// by every observable field.
+bool same_transition(const Transition& a, const Transition& b) {
+  if (a.loc != b.loc || a.serialize_loc != b.serialize_loc) return false;
+  if (a.copies.size() != b.copies.size()) return false;
+  for (std::size_t i = 0; i < a.copies.size(); ++i) {
+    if (a.copies[i].dst != b.copies[i].dst ||
+        a.copies[i].src != b.copies[i].src) {
+      return false;
+    }
+  }
+  const Action& x = a.action;
+  const Action& y = b.action;
+  if (x.kind != y.kind) return false;
+  if (x.is_memory_op()) {
+    return x.op.proc == y.op.proc && x.op.block == y.op.block &&
+           x.op.value == y.op.value;
+  }
+  return x.internal_id == y.internal_id && x.arg0 == y.arg0 &&
+         x.arg1 == y.arg1;
+}
+
+const Transition* find_transition(const std::vector<Transition>& trans,
+                                  const Transition& t) {
+  for (const Transition& c : trans) {
+    if (same_transition(c, t)) return &c;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 AmpleSelector::AmpleSelector(const Protocol& protocol,
                              const PorOracle& oracle, bool enable)
@@ -99,6 +134,57 @@ bool AmpleSelector::select(const Product& product,
   }
   if (best == ngroups_) return false;
   out = groups_[best].members;  // ascending by construction
+  return true;
+}
+
+bool independence_commutes(const Protocol& proto, ProcCanonicalizer& canon,
+                           const Product& cur, const Transition& t,
+                           const Transition& u, CommuteScratch& s,
+                           std::string& detail) {
+  const auto pair_name = [&] {
+    return "('" + proto.action_name(t.action) + "', '" +
+           proto.action_name(u.action) + "')";
+  };
+  s.a.assign_from(cur);
+  if (s.a.step(t, s.symbols) != StepOutcome::Ok) return true;  // vacuous
+  s.trans.clear();
+  s.a.enumerate(s.trans);
+  const Transition* u_after = find_transition(s.trans, u);
+  if (u_after == nullptr) {
+    detail = "declared-independent pair " + pair_name() +
+             ": the first disables the second";
+    return false;
+  }
+  s.b.assign_from(s.a);
+  const StepOutcome o_tu = s.b.step(*u_after, s.symbols);
+  if (o_tu == StepOutcome::Ok) canon.canonicalize_key(s.b, s.ka);
+  s.b.assign_from(cur);
+  const StepOutcome o_u = s.b.step(u, s.symbols);
+  if (o_u != o_tu) {
+    detail = "declared-independent pair " + pair_name() +
+             ": step outcome differs between orders";
+    return false;
+  }
+  if (o_u != StepOutcome::Ok) return true;  // both orders fail identically
+  s.trans.clear();
+  s.b.enumerate(s.trans);
+  const Transition* t_after = find_transition(s.trans, t);
+  if (t_after == nullptr) {
+    detail = "declared-independent pair " + pair_name() +
+             ": the second disables the first";
+    return false;
+  }
+  if (s.b.step(*t_after, s.symbols) != StepOutcome::Ok) {
+    detail = "declared-independent pair " + pair_name() +
+             ": outcome differs on the deferred first transition";
+    return false;
+  }
+  canon.canonicalize_key(s.b, s.kb);
+  if (!std::ranges::equal(s.ka.w.data(), s.kb.w.data())) {
+    detail = "declared-independent pair " + pair_name() +
+             ": the two orders reach different product states";
+    return false;
+  }
   return true;
 }
 

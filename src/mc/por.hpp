@@ -25,9 +25,9 @@
 //      whose target depth is <= its source depth; the engine detects that
 //      edge (an ample successor already visited at the current or a
 //      shallower level) and re-expands its source in full.  Reduced entries
-//      log their duplicate ample successors; run_bfs decides them against
-//      the level's claim table at the barrier and expands the fallbacks as
-//      a second phase.
+//      log their duplicate ample successors; the level engine decides them
+//      against the level's claim table at the barrier and expands the
+//      fallbacks as a second phase.
 //
 // Candidate sets are the (processor, block-mask) groups of invisible
 // singleton-processor footprints — e.g. the directory protocol's local
@@ -38,13 +38,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "mc/product.hpp"
 #include "protocol/protocol.hpp"
 
 namespace scv {
-
-class Product;
 
 /// The dependence information the ample machinery consumes, abstracted
 /// away from where it came from.  Two implementations exist: the protocol's
@@ -122,5 +122,34 @@ class AmpleSelector {
   std::vector<Group> groups_;
   std::size_t ngroups_ = 0;  ///< live prefix of groups_ (vectors reused)
 };
+
+/// Scratch for the POR self-checks: the products two interleavings run
+/// in, their canonical keys, and enabled-set and symbol buffers.
+struct CommuteScratch {
+  CommuteScratch(const Protocol& protocol, const ObserverConfig& config,
+                 bool with_observer)
+      : a(protocol, config, with_observer),
+        b(protocol, config, with_observer) {}
+  Product a;
+  Product b;
+  KeyScratch ka;
+  KeyScratch kb;
+  std::vector<Transition> trans;
+  std::vector<Symbol> symbols;
+};
+
+/// Verifies the independence contract for the pair (t, u), both enabled in
+/// `cur`: t must leave u enabled with the same step outcome u has from
+/// `cur`, u must leave t enabled, and when every step is clean the two
+/// interleavings must reach the same canonical product state.  Outcome
+/// preservation is what keeps reject states reachable in the reduced
+/// graph; key equality is the diamond the reordering argument commutes
+/// through.  Both POR self-checks run it: model_check's pre-run walk and
+/// the engine's sampled ample cross-validation.  `detail` receives the
+/// violation.
+bool independence_commutes(const Protocol& proto, ProcCanonicalizer& canon,
+                           const Product& cur, const Transition& t,
+                           const Transition& u, CommuteScratch& s,
+                           std::string& detail);
 
 }  // namespace scv

@@ -36,6 +36,7 @@
 #include "descriptor/sink.hpp"
 #include "observer/observer.hpp"
 #include "protocol/protocol.hpp"
+#include "runlog/run_trace.hpp"
 #include "util/byte_io.hpp"
 
 namespace scv {
@@ -55,6 +56,18 @@ enum class StepOutcome : std::uint8_t {
   Bound,     ///< observer ID pool exhausted
   Tracking,  ///< tracking labels inconsistent with protocol behaviour
 };
+
+/// The run-trace verdict a walk or counterexample ending in `outcome`
+/// records (Ok: the run was accepted).
+[[nodiscard]] constexpr RunVerdict to_run_verdict(StepOutcome outcome) {
+  switch (outcome) {
+    case StepOutcome::Reject: return RunVerdict::Violation;
+    case StepOutcome::Bound: return RunVerdict::BandwidthExceeded;
+    case StepOutcome::Tracking: return RunVerdict::TrackingInconsistent;
+    case StepOutcome::Ok: break;
+  }
+  return RunVerdict::Accepted;
+}
 
 /// The composed product automaton.  Constructed in the initial state.
 /// Non-copyable (it holds sink wiring); state moves between same-shape
@@ -221,6 +234,34 @@ class ProcCanonicalizer {
   }
 
  private:
+  /// Processors sorted by signature: slot i of the sorted order holds
+  /// processor pos[i], and tie group g (a maximal run of equal signatures)
+  /// spans slots gstart[g]..gend[g]-1.
+  struct SortedOrder {
+    std::array<std::uint8_t, ProcPerm::kMax> pos{};
+    std::array<std::uint8_t, ProcPerm::kMax> gstart{};
+    std::array<std::uint8_t, ProcPerm::kMax> gend{};
+    std::size_t ngroups = 0;
+    bool has_tie = false;
+
+    /// The permutation moving each processor to its slot.
+    [[nodiscard]] ProcPerm perm(std::size_t procs) const {
+      ProcPerm pi = ProcPerm::identity(procs);
+      for (std::size_t i = 0; i < procs; ++i) {
+        pi.to[pos[i]] = static_cast<std::uint8_t>(i);
+      }
+      return pi;
+    }
+  };
+
+  /// Stage 1: the signature sort of `p` and its tie groups.
+  SortedOrder sorted_order(const Product& p, std::uint32_t dirty_mask);
+  /// Stage 2: the least key over every sorting permutation of `order`'s
+  /// tie groups, found by delta re-keying; applies it to `p` and returns
+  /// the orbit size.
+  std::uint64_t search_ties(Product& p, KeyScratch& ks, ProcPerm* applied,
+                            SortedOrder order);
+
   bool active_ = false;
   std::size_t procs_ = 1;
   std::uint64_t factorial_ = 1;
@@ -240,11 +281,7 @@ class ProcCanonicalizer {
   // sorted order and tie-group structure as any other all-clean successor
   // in the epoch — the sort and group scan can be skipped outright.
   bool order_valid_ = false;
-  bool cached_has_tie_ = false;
-  std::uint8_t cached_ngroups_ = 0;
-  std::array<std::uint8_t, ProcPerm::kMax> cached_pos_{};
-  std::array<std::uint8_t, ProcPerm::kMax> cached_gstart_{};
-  std::array<std::uint8_t, ProcPerm::kMax> cached_gend_{};
+  SortedOrder cached_order_;
   // Delta re-keying scratch: the protocol slice of the candidate product
   // under the tie-loop's current permutation (repermuted in place between
   // candidates instead of restored from the original).

@@ -51,19 +51,7 @@ RunTrace record_walk(const Protocol& protocol, const RecordWalkOptions& opt) {
       walk(p, opt.steps, opt.seed,
            [](const Transition&, const std::string&, std::size_t,
               StepOutcome) {});
-  switch (outcome) {
-    case StepOutcome::Ok:
-      break;
-    case StepOutcome::Reject:
-      trace.verdict = RunVerdict::Violation;
-      break;
-    case StepOutcome::Bound:
-      trace.verdict = RunVerdict::BandwidthExceeded;
-      break;
-    case StepOutcome::Tracking:
-      trace.verdict = RunVerdict::TrackingInconsistent;
-      break;
-  }
+  trace.verdict = to_run_verdict(outcome);
   trace.reason = p.failure_reason(outcome);
   trace.steps = recorder.take();
   return trace;
