@@ -143,6 +143,32 @@ std::string check_state_under(const Protocol& proto,
   return {};
 }
 
+/// permute_loc must be a bijection on the location alphabet under every
+/// transposition; state-independent, so checked once per protocol.
+/// Returns an empty string or the first violation.
+std::string permute_loc_bijection_failure(const Protocol& proto) {
+  const std::size_t procs = proto.params().procs;
+  const std::size_t locations = proto.params().locations;
+  for (std::size_t a = 0; a + 1 < procs; ++a) {
+    for (std::size_t b = a + 1; b < procs; ++b) {
+      const ProcPerm tau = ProcPerm::transposition(
+          procs, static_cast<ProcId>(a), static_cast<ProcId>(b));
+      std::vector<bool> hit(locations, false);
+      for (std::size_t l = 0; l < locations; ++l) {
+        const LocId img = proto.permute_loc(static_cast<LocId>(l), tau);
+        if (img >= locations || hit[img]) {
+          return "permute_loc is not a bijection under the (" +
+                 std::to_string(a) + " " + std::to_string(b) +
+                 ") transposition (location " + std::to_string(l) +
+                 " maps to " + std::to_string(img) + ")";
+        }
+        hit[img] = true;
+      }
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 SymmetryCheckResult check_processor_symmetry(
@@ -153,27 +179,10 @@ SymmetryCheckResult check_processor_symmetry(
   res.applicable = res.declared && procs >= 2 && procs <= ProcPerm::kMax;
   if (!res.applicable) return res;
 
-  // permute_loc must be a bijection on the location alphabet under every
-  // transposition (checked once; it is state-independent).
-  const std::size_t locations = proto.params().locations;
-  for (std::size_t a = 0; a + 1 < procs; ++a) {
-    for (std::size_t b = a + 1; b < procs; ++b) {
-      const ProcPerm tau = ProcPerm::transposition(
-          procs, static_cast<ProcId>(a), static_cast<ProcId>(b));
-      std::vector<bool> hit(locations, false);
-      for (std::size_t l = 0; l < locations; ++l) {
-        const LocId img = proto.permute_loc(static_cast<LocId>(l), tau);
-        if (img >= locations || hit[img]) {
-          res.ok = false;
-          res.detail = "permute_loc is not a bijection under the (" +
-                       std::to_string(a) + " " + std::to_string(b) +
-                       ") transposition (location " + std::to_string(l) +
-                       " maps to " + std::to_string(img) + ")";
-          return res;
-        }
-        hit[img] = true;
-      }
-    }
+  res.detail = permute_loc_bijection_failure(proto);
+  if (!res.detail.empty()) {
+    res.ok = false;
+    return res;
   }
 
   // Deterministic sample walk over protocol states; restart on dead ends.
@@ -239,30 +248,15 @@ void check_symmetry(LintContext& ctx) {
     return;
   }
 
-  // permute_loc bijectivity, once (state-independent).
-  const std::size_t locations = proto.params().locations;
-  for (std::size_t a = 0; a + 1 < procs; ++a) {
-    for (std::size_t b = a + 1; b < procs; ++b) {
-      const ProcPerm tau = ProcPerm::transposition(
-          procs, static_cast<ProcId>(a), static_cast<ProcId>(b));
-      std::vector<bool> hit(locations, false);
-      for (std::size_t l = 0; l < locations; ++l) {
-        const LocId img = proto.permute_loc(static_cast<LocId>(l), tau);
-        if (img >= locations || hit[img]) {
-          ctx.add(LintRule::R6_ProcessorSymmetry, LintSeverity::Warning,
-                  "declared processor symmetry fails the commutation check: "
-                  "permute_loc is not a bijection under the (" +
-                      std::to_string(a) + " " + std::to_string(b) +
-                      ") transposition (location " + std::to_string(l) +
-                      " maps to " + std::to_string(img) +
-                      "); the model checker falls back to identity "
-                      "canonicalization",
-                  "commutation");
-          return;
-        }
-        hit[img] = true;
-      }
-    }
+  if (const std::string bad = permute_loc_bijection_failure(proto);
+      !bad.empty()) {
+    ctx.add(LintRule::R6_ProcessorSymmetry, LintSeverity::Warning,
+            "declared processor symmetry fails the commutation check: " +
+                bad +
+                "; the model checker falls back to identity "
+                "canonicalization",
+            "commutation");
+    return;
   }
 
   // Commutation checks on a stride across the whole skeleton rather than a

@@ -237,6 +237,70 @@ TEST(Symmetry, LintR6WarnsOnFalseDeclaration) {
   EXPECT_TRUE(warned) << report.format();
 }
 
+/// Declares processor symmetry and renames every location to location 0,
+/// so permute_loc is not a bijection.  The symmetry self-check and lint R6
+/// share that check; this pins both messages byte for byte.
+class CollapsingLocMsi final : public Protocol {
+ public:
+  CollapsingLocMsi() : inner_(2, 1, 1) {}
+  [[nodiscard]] std::string name() const override {
+    return "CollapsingLocMsi";
+  }
+  [[nodiscard]] const Params& params() const override {
+    return inner_.params();
+  }
+  [[nodiscard]] std::size_t state_size() const override {
+    return inner_.state_size();
+  }
+  void initial_state(std::span<std::uint8_t> state) const override {
+    inner_.initial_state(state);
+  }
+  void enumerate(std::span<const std::uint8_t> state,
+                 std::vector<Transition>& out) const override {
+    inner_.enumerate(state, out);
+  }
+  void apply(std::span<std::uint8_t> state,
+             const Transition& t) const override {
+    inner_.apply(state, t);
+  }
+  [[nodiscard]] bool could_load_bottom(std::span<const std::uint8_t> state,
+                                       BlockId b) const override {
+    return inner_.could_load_bottom(state, b);
+  }
+  [[nodiscard]] std::string action_name(const Action& a) const override {
+    return inner_.action_name(a);
+  }
+  [[nodiscard]] bool processor_symmetric() const override { return true; }
+  [[nodiscard]] LocId permute_loc(LocId /*loc*/,
+                                  const ProcPerm& /*perm*/) const override {
+    return 0;
+  }
+
+ private:
+  MsiBus inner_;
+};
+
+TEST(Symmetry, PermuteLocBijectionFailureWording) {
+  const CollapsingLocMsi proto;
+  const std::string detail =
+      "permute_loc is not a bijection under the (0 1) transposition "
+      "(location 1 maps to 0)";
+  const SymmetryCheckResult res = check_processor_symmetry(proto);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.detail, detail);
+  const LintReport report = lint_protocol(proto);
+  bool found = false;
+  for (const LintFinding& f : report.findings) {
+    found |= f.rule == LintRule::R6_ProcessorSymmetry &&
+             f.message ==
+                 "declared processor symmetry fails the commutation check: " +
+                     detail +
+                     "; the model checker falls back to identity "
+                     "canonicalization";
+  }
+  EXPECT_TRUE(found) << report.format();
+}
+
 TEST(Symmetry, CommutationCheckCleanOnBundledProtocols) {
   for (const RegisteredProtocol& entry : protocol_registry()) {
     const auto proto = entry.make();
