@@ -19,10 +19,17 @@
 // the model checker with record_counterexample set; BFS plus deterministic
 // failure selection make that trace stable too.
 //
+// --steps, --seed, --threads and --max-states take decimal digits only (no
+// sign, no trailing characters, no overflow); --threads is at most 256, as
+// scv_serve caps its worker threads.
+//
 // Exit status: 0 on success, 1 when --violation finds no violation (or a
 // walk unexpectedly fails), 2 on usage/IO errors.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -34,12 +41,32 @@
 
 namespace {
 
+// Each model-checking worker is a thread, so an out-of-range count is a
+// usage error rather than a resource failure.
+constexpr std::size_t kMaxThreads = 256;
+
 int usage() {
   std::fprintf(stderr,
                "usage: scv_record [--list] | PROTOCOL -o FILE "
                "[--walk|--violation] [--model sc|tso|coherence] [--steps N] "
-               "[--seed N] [--threads N] [--max-states N]\n");
+               "[--seed N] [--threads N] [--max-states N]\n"
+               "limits: N is decimal digits; --threads from 1 to %zu\n",
+               kMaxThreads);
   return 2;
+}
+
+/// Parses a count made of decimal digits only that fits in T.
+template <class T>
+bool parse_count(const char* v, T& out) {
+  if (v == nullptr || *v < '0' || *v > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*end != '\0' || errno == ERANGE || n > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(n);
+  return true;
 }
 
 }  // namespace
@@ -83,21 +110,15 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       out = v;
     } else if (arg == "--steps") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      steps = std::strtoull(v, nullptr, 10);
+      if (!parse_count(next(), steps)) return usage();
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 10);
+      if (!parse_count(next(), seed)) return usage();
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      threads = std::strtoull(v, nullptr, 10);
+      if (!parse_count(next(), threads) || threads > kMaxThreads) {
+        return usage();
+      }
     } else if (arg == "--max-states") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      max_states = std::strtoull(v, nullptr, 10);
+      if (!parse_count(next(), max_states)) return usage();
     } else if (arg == "--model") {
       const char* v = next();
       if (v == nullptr || !scv::parse_memory_model(v, model)) {
