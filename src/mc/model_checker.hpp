@@ -17,7 +17,12 @@
 // States are canonical byte strings (protocol state + observer state +
 // checker state), stored as 128-bit fingerprints in a concurrent hash set
 // (full keys under McOptions::exact_states).  One level-synchronized BFS
-// engine serves every thread count and gives shortest counterexamples.
+// engine serves every thread count and gives shortest counterexamples: the
+// LevelEngine of mc/level_engine.hpp, whose stages are restore, enumerate
+// (with ample selection), step, canonicalize, claim, materialize and, at
+// the level barrier, resolve, decide (C3), settle and commit.  model_check
+// itself runs the lint precheck and the symmetry and POR self-checks,
+// picks the POR oracle, and replays and exports the counterexample.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +67,7 @@ struct McOptions {
   /// Observer configuration — including the memory model (ObserverConfig::
   /// model), which the whole stack reads from here: the product builds its
   /// checker from it, counterexample replay and the recorded trace keep it,
-  /// and run_bfs takes the bounded-preemption budget from its
+  /// and the level engine takes the bounded-preemption budget from its
   /// preemption_bound.  Under a bounded-preemption model the engine appends
   /// (last scheduled processor, remaining budget) to every state key and
   /// prunes cross-processor transitions once the budget is exhausted — an
