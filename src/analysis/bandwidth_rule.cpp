@@ -40,11 +40,8 @@ void check_bandwidth(LintContext& ctx) {
   }
   const std::size_t live_want = want - pr.locations + live_locs;
 
-  // The bandwidth k the observer will actually emit under.
-  const std::size_t pool =
-      oc.pool_size != 0 ? oc.pool_size
-                        : Observer::default_pool_size(proto, oc.model);
-  const std::size_t k = oc.location_mirrored ? pr.locations + pool : pool;
+  // The ID pool and bandwidth k the observer will actually emit under.
+  const auto [pool, k] = Observer::pool_and_bandwidth(proto, oc);
 
   RuleCoverage& cov = ctx.coverage(LintRule::R3_Bandwidth);
   cov.ran = true;

@@ -29,7 +29,6 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "analysis/footprint_infer.hpp"
 #include "analysis/internal.hpp"
@@ -37,137 +36,7 @@
 #include "analysis/skeleton.hpp"
 #include "protocol/protocol.hpp"
 
-namespace scv {
-
-namespace {
-
-using analysis::InferredPor;
-using analysis::PairInfo;
-using analysis::PairVerdict;
-using analysis::ProtocolSkeleton;
-
-/// Declared independence memoized per unordered shape pair (the relation
-/// is a function of the two transitions' full identities, which is what a
-/// shape is).  Values: each direction queried once.
-struct DeclaredRelation {
-  std::size_t n = 0;
-  std::vector<std::uint8_t> fwd;  ///< independent(rep_i, rep_j), i<=j
-  std::vector<std::uint8_t> rev;  ///< independent(rep_j, rep_i), i<=j
-
-  DeclaredRelation(const Protocol& proto, const ProtocolSkeleton& sk)
-      : n(sk.shapes.size()),
-        fwd(n * (n + 1) / 2, 0),
-        rev(n * (n + 1) / 2, 0) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = i; j < n; ++j) {
-        const std::size_t at = idx(i, j);
-        fwd[at] = proto.independent(sk.shapes[i].rep, sk.shapes[j].rep);
-        rev[at] = proto.independent(sk.shapes[j].rep, sk.shapes[i].rep);
-      }
-    }
-  }
-  [[nodiscard]] std::size_t idx(std::uint32_t i, std::uint32_t j) const {
-    if (i > j) std::swap(i, j);
-    return static_cast<std::size_t>(i) * n -
-           static_cast<std::size_t>(i) * (i + 1) / 2 + j;
-  }
-  /// independent(rep_i, rep_j) in argument order.
-  [[nodiscard]] bool forward(std::uint32_t i, std::uint32_t j) const {
-    return i <= j ? fwd[idx(i, j)] : rev[idx(j, i)];
-  }
-};
-
-}  // namespace
-
-IndependenceCheckResult check_independence(
-    const Protocol& proto, const IndependenceCheckOptions& options) {
-  IndependenceCheckResult res;
-  res.declared = proto.por_enabled();
-  res.applicable = res.declared;
-  if (!res.applicable) return res;
-
-  // One skeleton enumeration decides the relation for every reachable
-  // co-enabled pair (with the default exhaustive caps): the diamond at
-  // each state is pure table lookups, exactly like infer_por's sweep, but
-  // restricted to pairs the protocol actually declares independent.
-  analysis::SkeletonBuildOptions sopt;
-  sopt.max_states = options.max_states;
-  sopt.max_depth = options.max_depth;
-  const ProtocolSkeleton sk = analysis::build_skeleton(proto, sopt);
-  res.states_checked = sk.num_states();
-  bool truncation_skips = !sk.complete;
-
-  const DeclaredRelation declared(proto, sk);
-
-  for (std::size_t s = 0; s < sk.num_states(); ++s) {
-    const std::span<const analysis::SkeletonEdge> row = sk.out_edges(s);
-    for (std::size_t a = 0; a < row.size(); ++a) {
-      for (std::size_t b = a + 1; b < row.size(); ++b) {
-        const std::uint32_t i = row[a].shape;
-        const std::uint32_t j = row[b].shape;
-        if (i == j) continue;  // duplicate enumeration (R5b), not a pair
-        const bool ij = declared.forward(i, j);
-        const bool ji = declared.forward(j, i);
-        if (!ij && !ji) continue;
-        ++res.pairs_checked;
-        const std::string an_i = proto.action_name(sk.shapes[i].rep.action);
-        const std::string an_j = proto.action_name(sk.shapes[j].rep.action);
-        if (ij != ji) {
-          const std::string& an_t = ij ? an_i : an_j;
-          const std::string& an_u = ij ? an_j : an_i;
-          res.ok = false;
-          res.detail = "declared independence is asymmetric: independent('" +
-                       an_t + "', '" + an_u +
-                       "') holds but the swapped pair does not [reachable "
-                       "state " +
-                       std::to_string(s) + "]";
-          return res;
-        }
-        // Diamond by table lookups; corners outside a truncated skeleton
-        // degrade the pass to bounded evidence instead of failing it.
-        if (row[a].to == ProtocolSkeleton::npos ||
-            row[b].to == ProtocolSkeleton::npos) {
-          truncation_skips = true;
-          continue;
-        }
-        const analysis::SkeletonEdge* e1 = sk.edge_with_shape(row[a].to, j);
-        if (e1 == nullptr) {
-          res.ok = false;
-          res.detail = "'" + an_i + "' disables co-enabled '" + an_j +
-                       "' declared independent of it [reachable state " +
-                       std::to_string(s) + "]";
-          return res;
-        }
-        const analysis::SkeletonEdge* e2 = sk.edge_with_shape(row[b].to, i);
-        if (e2 == nullptr) {
-          res.ok = false;
-          res.detail = "'" + an_j + "' disables co-enabled '" + an_i +
-                       "' declared independent of it [reachable state " +
-                       std::to_string(s) + "]";
-          return res;
-        }
-        if (e1->to == ProtocolSkeleton::npos ||
-            e2->to == ProtocolSkeleton::npos) {
-          truncation_skips = true;
-          continue;
-        }
-        if (e1->to != e2->to) {
-          res.ok = false;
-          res.detail = "declared-independent pair '" + an_i + "' / '" +
-                       an_j +
-                       "' does not commute: the two execution orders reach "
-                       "different protocol states [reachable state " +
-                       std::to_string(s) + "]";
-          return res;
-        }
-      }
-    }
-  }
-  res.definite = !truncation_skips;
-  return res;
-}
-
-namespace analysis {
+namespace scv::analysis {
 
 void check_por_independence(LintContext& ctx) {
   if (!ctx.rule_selected(LintRule::R7_Independence)) return;
@@ -183,14 +52,15 @@ void check_por_independence(LintContext& ctx) {
   cov.definite = inf.relation_definite;
   cov.states = sk.num_states();
 
-  const DeclaredRelation declared(proto, sk);
   const std::size_t n = sk.shapes.size();
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {
       const PairInfo& pi = inf.pair(i, j);
       if (pi.co_enabled == 0) continue;
-      const bool ij = declared.forward(i, j);
-      const bool ji = declared.forward(j, i);
+      const Transition& t = sk.shapes[i].rep;
+      const Transition& u = sk.shapes[j].rep;
+      const bool ij = proto.independent(t, u);
+      const bool ji = proto.independent(u, t);
       if (!ij && !ji) continue;
       ++cov.checked;
       const std::string an_i = proto.action_name(sk.shapes[i].rep.action);
@@ -265,5 +135,4 @@ void check_footprint_precision(LintContext& ctx) {
   }
 }
 
-}  // namespace analysis
-}  // namespace scv
+}  // namespace scv::analysis

@@ -58,10 +58,6 @@ struct LocSet {
     return std::popcount(w[0]) + std::popcount(w[1]) + std::popcount(w[2]) +
            std::popcount(w[3]);
   }
-  [[nodiscard]] bool intersects(const LocSet& o) const noexcept {
-    return ((w[0] & o.w[0]) | (w[1] & o.w[1]) | (w[2] & o.w[2]) |
-            (w[3] & o.w[3])) != 0;
-  }
   /// Union-in; returns true when the receiver grew (the solvers' change
   /// test).
   bool merge(const LocSet& o) noexcept {

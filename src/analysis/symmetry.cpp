@@ -171,8 +171,11 @@ std::string permute_loc_bijection_failure(const Protocol& proto) {
 
 }  // namespace
 
-SymmetryCheckResult check_processor_symmetry(
-    const Protocol& proto, const SymmetryCheckOptions& options) {
+SymmetryCheckResult check_processor_symmetry(const Protocol& proto) {
+  // Protocol states to examine along the walk, and the walk's length bound.
+  constexpr std::size_t kSamples = 48;
+  constexpr std::size_t kMaxSteps = 192;
+
   SymmetryCheckResult res;
   res.declared = proto.processor_symmetric();
   const std::size_t procs = proto.params().procs;
@@ -190,7 +193,7 @@ SymmetryCheckResult check_processor_symmetry(
   proto.initial_state(cur);
   std::vector<Transition> enabled;
   for (std::size_t step = 0;
-       step < options.max_steps && res.states_checked < options.samples;
+       step < kMaxSteps && res.states_checked < kSamples;
        ++step) {
     enabled.clear();
     proto.enumerate(cur, enabled);

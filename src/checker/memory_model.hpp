@@ -48,6 +48,7 @@
 // the Sc kind and is reported as a bounding option like max_depth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -76,6 +77,20 @@ struct ModelRules {
   /// as its own chain of po edges (and the checker disciplines it), so
   /// ST→ST order survives the relaxed ST→LD gaps.
   bool store_chain = false;
+
+  /// The number of program-order chains over `procs` processors and
+  /// `blocks` blocks: p, or pb under per-block chains.
+  [[nodiscard]] constexpr std::size_t chain_count(
+      std::size_t procs, std::size_t blocks) const noexcept {
+    return per_block_chains ? procs * blocks : procs;
+  }
+  /// The chain an operation of processor `proc` on block `block` extends,
+  /// numbered processor-major.
+  [[nodiscard]] constexpr std::size_t chain_of(
+      std::size_t proc, std::size_t block,
+      std::size_t blocks) const noexcept {
+    return per_block_chains ? proc * blocks + block : proc;
+  }
 };
 
 inline constexpr ModelRules kModelRules[kNumModelKinds] = {

@@ -167,9 +167,6 @@ class ScChecker {
   /// of another processor could discharge differently, which the engine's
   /// ample self-check cross-validates against full expansion.
   [[nodiscard]] std::uint32_t obligation_procs() const noexcept;
-  [[nodiscard]] bool has_obligations(ProcId p) const noexcept {
-    return (obligation_procs() >> p) & 1u;
-  }
 
  private:
   static constexpr std::size_t kMaxSlots = kMaxBandwidth + 2;
@@ -241,12 +238,10 @@ class ScChecker {
   // (processor, block) under a per-block-chain model (coherence).
   static constexpr std::size_t kMaxChains = kMaxProcs * kMaxBlocks;
   [[nodiscard]] std::size_t chain_count() const {
-    return rules().per_block_chains ? cfg_.procs * cfg_.blocks : cfg_.procs;
+    return rules().chain_count(cfg_.procs, cfg_.blocks);
   }
   [[nodiscard]] std::size_t chain_of(const Operation& op) const {
-    return rules().per_block_chains
-               ? op.proc * cfg_.blocks + op.block
-               : static_cast<std::size_t>(op.proc);
+    return rules().chain_of(op.proc, op.block, cfg_.blocks);
   }
   std::int8_t last_op_[kMaxChains];  ///< slot of latest op per chain
   bool last_op_live_[kMaxChains];    ///< false once that slot retired

@@ -37,15 +37,11 @@ struct Meta {
 };
 
 /// Expected distinct-state count used to pre-size the visited store and
-/// avoid rehash churn mid-run (DESIGN.md §9).  An explicit hint wins,
-/// clamped by the state budget.  Without one, a small max_states is a
+/// avoid rehash churn mid-run (DESIGN.md §9).  A small max_states is a
 /// genuine exploration budget worth sizing for, while the 50M default
 /// would pre-size a ~1 GB table for what is usually a tiny run — so large
 /// budgets fall back to organic growth.
 std::size_t presize_expected(const McOptions& opt) {
-  if (opt.visited_size_hint != 0) {
-    return std::min(opt.max_states, opt.visited_size_hint);
-  }
   return opt.max_states <= (std::size_t{1} << 20) ? opt.max_states : 0;
 }
 

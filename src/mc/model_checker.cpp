@@ -358,7 +358,7 @@ class InferredPorOracle final : public PorOracle {
 
 McResult model_check(const Protocol& protocol, const McOptions& options) {
   SCV_EXPECTS(options.threads >= 1);
-  if (options.lint_first && !options.protocol_only) {
+  if (!options.protocol_only) {
     // Fail-fast static precheck: malformed tracking metadata would abort or
     // mislead exploration much later; reject it in milliseconds instead.
     // Sampled mode keeps the bounded-walk cost (the exhaustive skeleton

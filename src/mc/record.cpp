@@ -91,7 +91,7 @@ TraceTestResult trace_test(const Protocol& protocol,
       [&](const Transition& t, std::string action, std::size_t emitted,
           StepOutcome step) {
         tail.push_back(std::move(action));
-        if (tail.size() > options.tail_length) tail.pop_front();
+        if (tail.size() > kTraceTailLength) tail.pop_front();
         ++result.steps;
         if (t.action.is_memory_op()) ++result.memory_ops;
         // An observer failure's partial emission never reaches the checker.

@@ -59,9 +59,11 @@ struct TraceTestOptions {
   std::uint64_t max_steps = 100'000;
   std::uint64_t seed = 1;
   ObserverConfig observer{};
-  /// Keep the last N action names for violation reports.
-  std::size_t tail_length = 32;
 };
+
+/// How many of the last action names a failing trace_test reports
+/// (TraceTestResult::tail).
+inline constexpr std::size_t kTraceTailLength = 32;
 
 struct TraceTestResult {
   TraceVerdict verdict = TraceVerdict::Passed;

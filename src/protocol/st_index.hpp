@@ -61,13 +61,6 @@ class StIndexTracker {
     }
   }
 
-  /// How many locations currently hold `handle`?
-  [[nodiscard]] std::size_t copy_count(std::uint32_t handle) const {
-    std::size_t n = 0;
-    for (std::uint32_t h : index_) n += (h == handle) ? 1 : 0;
-    return n;
-  }
-
   /// Wholesale replacement of the index array (same location count); used
   /// by the observer's processor-permutation hook, which relocates entries
   /// through the protocol's permute_loc map.

@@ -28,8 +28,7 @@ bool rewrite_v3_base(const ScCheckerConfig& cfg,
                      std::vector<std::uint8_t>& base, std::string& error) {
   constexpr std::size_t kV3Slots = 64;
   const ModelRules rules = cfg.model.rules();
-  const std::size_t chains =
-      rules.per_block_chains ? cfg.procs * cfg.blocks : cfg.procs;
+  const std::size_t chains = rules.chain_count(cfg.procs, cfg.blocks);
   const std::size_t header = 1 + 3 * chains +
                              (rules.store_chain ? 3 * cfg.procs : 0) +
                              cfg.blocks * (2 + cfg.procs);

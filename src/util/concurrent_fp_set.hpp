@@ -93,9 +93,6 @@ class ConcurrentFingerprintSet {
     for (const Shard& sh : shards_) n += sh.mask + 1;
     return n;
   }
-  [[nodiscard]] double load_factor() const noexcept {
-    return static_cast<double>(size()) / static_cast<double>(capacity());
-  }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return capacity() * 2 * sizeof(std::uint64_t);
   }

@@ -40,14 +40,6 @@ class InlineVec {
     data_[size_++] = v;
   }
 
-  /// push_back that reports overflow instead of aborting; used where
-  /// exceeding a bound is a checkable condition (e.g. bandwidth bounds).
-  [[nodiscard]] constexpr bool try_push_back(const T& v) noexcept {
-    if (size_ == N) return false;
-    data_[size_++] = v;
-    return true;
-  }
-
   constexpr void pop_back() {
     SCV_EXPECTS(size_ > 0);
     --size_;
@@ -85,21 +77,6 @@ class InlineVec {
   constexpr iterator end() noexcept { return data_ + size_; }
   constexpr const_iterator begin() const noexcept { return data_; }
   constexpr const_iterator end() const noexcept { return data_ + size_; }
-
-  /// Remove the element at index i, preserving order of the rest.
-  constexpr void erase_at(std::size_t i) {
-    SCV_EXPECTS(i < size_);
-    for (std::size_t j = i + 1; j < size_; ++j) data_[j - 1] = data_[j];
-    --size_;
-  }
-
-  /// Remove the element at index i by swapping with the last (O(1),
-  /// order not preserved).
-  constexpr void swap_erase_at(std::size_t i) {
-    SCV_EXPECTS(i < size_);
-    data_[i] = data_[size_ - 1];
-    --size_;
-  }
 
   [[nodiscard]] constexpr bool contains(const T& v) const noexcept {
     return std::find(begin(), end(), v) != end();

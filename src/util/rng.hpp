@@ -58,11 +58,6 @@ class Xoshiro256 {
     return below(den) < num;
   }
 
-  /// Uniform double in [0, 1).
-  double uniform01() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -73,10 +73,6 @@ class ThreadPool {
     for (auto& t : threads_) t.join();
   }
 
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return threads_.size();
-  }
-
   /// Runs fn(worker_index) on every worker (and, if there are no workers,
   /// once inline with index 0).  Blocks until all invocations finish.
   void run_on_all(const std::function<void(std::size_t)>& fn) {

@@ -411,18 +411,6 @@ TEST(Lint, ModelCheckerPrechecksByDefault) {
   EXPECT_EQ(result.states, 0u);
 }
 
-TEST(Lint, CleanProtocolUnaffectedByPrecheck) {
-  SerialMemory proto(2, 1, 2);
-  McOptions with_lint;
-  McOptions without_lint;
-  without_lint.lint_first = false;
-  const McResult a = model_check(proto, with_lint);
-  const McResult b = model_check(proto, without_lint);
-  EXPECT_EQ(a.verdict, McVerdict::Verified);
-  EXPECT_EQ(b.verdict, McVerdict::Verified);
-  EXPECT_EQ(a.states, b.states);
-}
-
 TEST(Lint, ReportFormatting) {
   MsiBus proto(2, 2, 2);
   const LintReport report = lint_protocol(proto);

@@ -246,18 +246,16 @@ TEST(Parallel, ViolationParityOnBuggyMsi) {
 }
 
 TEST(Parallel, GrowthUnderPressureMatchesSequential) {
-  // A deliberately tiny visited_size_hint forces the concurrent
-  // fingerprint table through many abort-grow-resume cycles mid-level
-  // (MsiBus(2,1,1) reaches ~39k states from the 1k-slot minimum table).
-  // Full-exploration results must be identical to the organically grown
-  // sequential store.
+  // The default budget leaves the concurrent fingerprint table at its
+  // 1k-slot minimum, so it goes through many abort-grow-resume cycles
+  // mid-level (MsiBus(2,1,1) reaches ~39k states).  Full-exploration
+  // results must be identical to the organically grown sequential store.
   MsiBus proto(2, 1, 1);
   McOptions seq;
   const McResult rs = model_check(proto, seq);
   ASSERT_EQ(rs.verdict, McVerdict::Verified) << rs.summary();
   McOptions par;
   par.threads = 3;
-  par.visited_size_hint = 1;
   const McResult rp = model_check(proto, par);
   EXPECT_EQ(rp.verdict, rs.verdict) << rp.summary();
   EXPECT_EQ(rp.states, rs.states);

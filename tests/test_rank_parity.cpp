@@ -237,13 +237,11 @@ TEST(RankParity, BandwidthFailuresAfterProvisoFallbacks) {
 }
 
 TEST(RankParity, MidLevelGrowthRepeatsRanks) {
-  // A one-slot hint forces the fingerprint table through many aborted and
-  // re-expanded entries mid-level (msi_bus_buggy grows from the minimum
-  // table to ~29k states before its counterexample).
+  // The default budget leaves the fingerprint table at its minimum, so it
+  // goes through many aborted and re-expanded entries mid-level
+  // (msi_bus_buggy grows to ~29k states before its counterexample).
   const MsiBus proto(2, 2, 2, /*lost_invalidation=*/true);
-  McOptions opt;
-  opt.visited_size_hint = 1;
-  const McResult one = expect_thread_parity(proto, opt, "msi_bus_buggy");
+  const McResult one = expect_thread_parity(proto, {}, "msi_bus_buggy");
   EXPECT_EQ(one.verdict, McVerdict::Violation);
 }
 

@@ -557,11 +557,12 @@ TEST(SymbolStatsOption, ModelCheckAggregatesStreamCounts) {
   MsiBus proto(2, 1, 1);
   McOptions opt;
   opt.symbol_stats = true;
-  // Presize the visited store: a mid-level growth aborts and re-executes
-  // the in-flight entry, and those re-stepped transitions are (correctly)
-  // counted again by the stream stats.  With no growth the counts are an
-  // exact function of the explored graph, identical across engines.
-  opt.visited_size_hint = 1u << 18;
+  // A budget of 2^18 states presizes the visited store for that many: a
+  // mid-level growth aborts and re-executes the in-flight entry, and those
+  // re-stepped transitions are (correctly) counted again by the stream
+  // stats.  With no growth the counts are an exact function of the
+  // explored graph, identical across engines.
+  opt.max_states = 1u << 18;
   const McResult r = model_check(proto, opt);
   ASSERT_EQ(r.verdict, McVerdict::Verified) << r.summary();
   EXPECT_EQ(r.symbol_stats.steps, r.transitions);

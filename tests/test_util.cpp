@@ -8,7 +8,6 @@
 #include "util/hash.hpp"
 #include "util/inline_vec.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scv {
@@ -85,30 +84,15 @@ TEST(InlineVec, PushPopAndIterate) {
   EXPECT_EQ(sum, 6);
   v.pop_back();
   EXPECT_EQ(v.size(), 2u);
-}
-
-TEST(InlineVec, TryPushReportsOverflow) {
-  InlineVec<int, 2> v;
-  EXPECT_TRUE(v.try_push_back(1));
-  EXPECT_TRUE(v.try_push_back(2));
-  EXPECT_FALSE(v.try_push_back(3));
+  EXPECT_FALSE(v.full());
+  v.push_back(7);
+  v.push_back(8);
   EXPECT_TRUE(v.full());
-}
-
-TEST(InlineVec, EraseAtPreservesOrder) {
-  InlineVec<int, 4> v{10, 20, 30, 40};
-  v.erase_at(1);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 10);
-  EXPECT_EQ(v[1], 30);
-  EXPECT_EQ(v[2], 40);
-}
-
-TEST(InlineVec, SwapEraseIsO1) {
-  InlineVec<int, 4> v{10, 20, 30, 40};
-  v.swap_erase_at(0);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 40);
+  EXPECT_EQ(v[0], 1);
+  EXPECT_EQ(v[2], 7);
+  EXPECT_EQ(v[3], 8);
+  v.clear();
+  EXPECT_TRUE(v.empty());
 }
 
 TEST(InlineVec, ContainsAndEquality) {
@@ -190,14 +174,6 @@ TEST(ByteIo, HexDump) {
   w.u8(0x0f);
   w.u8(0xa0);
   EXPECT_EQ(to_hex(w.data()), "0fa0");
-}
-
-TEST(Strings, JoinAndPad) {
-  const std::vector<std::string> parts{"a", "b", "c"};
-  EXPECT_EQ(join(parts, ", "), "a, b, c");
-  EXPECT_EQ(pad_right("ab", 4), "ab  ");
-  EXPECT_EQ(pad_left("ab", 4), "  ab");
-  EXPECT_EQ(pad_right("abcd", 2), "abcd");
 }
 
 TEST(ThreadPool, RunsOnAllWorkers) {
