@@ -25,21 +25,21 @@
 //
 // Exit status: 0 on success, 1 when --violation finds no violation (or a
 // walk unexpectedly fails), 2 on usage/IO errors.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <memory>
 #include <string>
 
 #include "checker/memory_model.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/record.hpp"
+#include "parse_count.hpp"
 #include "protocol/registry.hpp"
 #include "runlog/run_trace.hpp"
 
 namespace {
+
+using scv::cli::parse_count;
 
 // Each model-checking worker is a thread, so an out-of-range count is a
 // usage error rather than a resource failure.
@@ -53,20 +53,6 @@ int usage() {
                "limits: N is decimal digits; --threads from 1 to %zu\n",
                kMaxThreads);
   return 2;
-}
-
-/// Parses a count made of decimal digits only that fits in T.
-template <class T>
-bool parse_count(const char* v, T& out) {
-  if (v == nullptr || *v < '0' || *v > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (*end != '\0' || errno == ERANGE || n > std::numeric_limits<T>::max()) {
-    return false;
-  }
-  out = static_cast<T>(n);
-  return true;
 }
 
 }  // namespace

@@ -31,10 +31,12 @@
 //   --stats                print service-wide counters at the end
 //   --quiet                only report quarantined streams
 //
+// Every N takes decimal digits only (no sign, no leading space, no
+// trailing characters, no overflow).
+//
 // Exit status: 0 when every stream closed clean, 1 when any stream was
 // quarantined, 2 on unreadable files or usage errors.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,6 +44,7 @@
 
 #include "checker/memory_model.hpp"
 #include "mc/record.hpp"
+#include "parse_count.hpp"
 #include "protocol/registry.hpp"
 #include "runlog/run_trace.hpp"
 #include "runlog/trace_stream.hpp"
@@ -49,6 +52,8 @@
 #include "stream/service.hpp"
 
 namespace {
+
+using scv::cli::parse_count;
 
 // Each producer is a ring allocated up front (and, with workers, a feeder
 // thread) and each worker is a thread, so out-of-range sizes are usage
@@ -64,19 +69,11 @@ int usage() {
       "                 [--quiet] trace-file...\n"
       "       scv_serve --generate N [--protocol ID] [--model M] [--steps N]\n"
       "                 [--seed N] [common options]\n"
-      "limits: --workers and --producers at most %zu each; --ring-capacity\n"
-      "        a power of two from 2 to %zu (2^24) events\n",
+      "limits: N is decimal digits; --workers and --producers at most %zu\n"
+      "        each; --ring-capacity a power of two from 2 to %zu (2^24)\n"
+      "        events\n",
       kMaxThreads, kMaxRingCapacity);
   return 2;
-}
-
-bool parse_size(const char* v, std::size_t& out) {
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<std::size_t>(n);
-  return true;
 }
 
 }  // namespace
@@ -87,7 +84,7 @@ int main(int argc, char** argv) {
   std::size_t generate = 0;
   std::string protocol_id = "serial_memory";
   scv::MemoryModel model;
-  std::size_t walk_steps = 200;
+  std::size_t stream_steps = 200;
   std::size_t seed = 1;
   std::string export_dir;
   bool stats = false;
@@ -98,27 +95,27 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--workers") {
-      if (!parse_size(next, opt.workers) || opt.workers > kMaxThreads) {
+      if (!parse_count(next, opt.workers) || opt.workers > kMaxThreads) {
         return usage();
       }
       ++i;
     } else if (arg == "--producers") {
-      if (!parse_size(next, opt.producers) || opt.producers == 0 ||
+      if (!parse_count(next, opt.producers) || opt.producers == 0 ||
           opt.producers > kMaxThreads) {
         return usage();
       }
       ++i;
     } else if (arg == "--ring-capacity") {
-      if (!parse_size(next, opt.ring_capacity) ||
+      if (!parse_count(next, opt.ring_capacity) ||
           opt.ring_capacity > kMaxRingCapacity) {
         return usage();
       }
       ++i;
     } else if (arg == "--window") {
-      if (!parse_size(next, opt.excerpt_window)) return usage();
+      if (!parse_count(next, opt.excerpt_window)) return usage();
       ++i;
     } else if (arg == "--generate") {
-      if (!parse_size(next, generate) || generate == 0) return usage();
+      if (!parse_count(next, generate) || generate == 0) return usage();
       ++i;
     } else if (arg == "--protocol") {
       if (next == nullptr) return usage();
@@ -131,10 +128,10 @@ int main(int argc, char** argv) {
       }
       ++i;
     } else if (arg == "--steps") {
-      if (!parse_size(next, walk_steps)) return usage();
+      if (!parse_count(next, stream_steps)) return usage();
       ++i;
     } else if (arg == "--seed") {
-      if (!parse_size(next, seed)) return usage();
+      if (!parse_count(next, seed)) return usage();
       ++i;
     } else if (arg == "--export-quarantine") {
       if (next == nullptr) return usage();
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     scv::RecordWalkOptions walk_opt;
-    walk_opt.steps = walk_steps;
+    walk_opt.steps = stream_steps;
     walk_opt.seed = seed;
     walk_opt.observer.model = model;
     walk = scv::record_walk(*proto, walk_opt);
