@@ -82,7 +82,7 @@ struct ModelRules {
   /// `blocks` blocks: p, or pb under per-block chains.
   [[nodiscard]] constexpr std::size_t chain_count(
       std::size_t procs, std::size_t blocks) const noexcept {
-    return per_block_chains ? procs * blocks : procs;
+    return procs * chains_per_proc(blocks);
   }
   /// The chain an operation of processor `proc` on block `block` extends,
   /// numbered processor-major.
@@ -90,6 +90,26 @@ struct ModelRules {
       std::size_t proc, std::size_t block,
       std::size_t blocks) const noexcept {
     return per_block_chains ? proc * blocks + block : proc;
+  }
+  /// How many chains each processor has: its chains are chain_of(proc, i,
+  /// blocks) for i below this count.
+  [[nodiscard]] constexpr std::size_t chains_per_proc(
+      std::size_t blocks) const noexcept {
+    return per_block_chains ? blocks : 1;
+  }
+  /// The processor whose program order `chain` threads.
+  [[nodiscard]] constexpr std::size_t proc_of_chain(
+      std::size_t chain, std::size_t blocks) const noexcept {
+    return per_block_chains ? chain / blocks : chain;
+  }
+  /// The chain `chain` becomes when every processor p is renamed to[p]
+  /// (a ProcPerm's `to`): the same block's chain of the renamed processor.
+  template <class Image>
+  [[nodiscard]] constexpr std::size_t chain_image(
+      std::size_t chain, const Image& to, std::size_t blocks) const noexcept {
+    if (!per_block_chains) return to[chain];
+    return static_cast<std::size_t>(to[chain / blocks]) * blocks +
+           chain % blocks;
   }
 };
 

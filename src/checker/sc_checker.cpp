@@ -595,10 +595,7 @@ void ScChecker::serialize_canonical(ByteWriter& w,
     return permuted ? inv.to[p] : p;
   };
   const auto src_chain = [&](std::size_t c) -> std::size_t {
-    if (!permuted) return c;
-    if (!rules().per_block_chains) return inv.to[c];
-    return static_cast<std::size_t>(inv.to[c / cfg_.blocks]) * cfg_.blocks +
-           c % cfg_.blocks;
+    return permuted ? rules().chain_image(c, inv.to, cfg_.blocks) : c;
   };
 
   // Map each active slot to the canonical number of the observer node whose
@@ -964,20 +961,12 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
   bool live[kMaxChains];
   bool pending[kMaxChains];
   std::int8_t expected[kMaxChains];
-  for (std::size_t p = 0; p < cfg_.procs; ++p) {
-    const auto move = [&](std::size_t from, std::size_t to) {
-      last[to] = last_op_[from];
-      live[to] = last_op_live_[from];
-      pending[to] = po_pending_[from];
-      expected[to] = po_expected_from_[from];
-    };
-    if (rules().per_block_chains) {
-      for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-        move(p * cfg_.blocks + b, perm.to[p] * cfg_.blocks + b);
-      }
-    } else {
-      move(p, perm.to[p]);
-    }
+  for (std::size_t c = 0; c < chain_count(); ++c) {
+    const std::size_t dst = rules().chain_image(c, perm.to, cfg_.blocks);
+    last[dst] = last_op_[c];
+    live[dst] = last_op_live_[c];
+    pending[dst] = po_pending_[c];
+    expected[dst] = po_expected_from_[c];
   }
   for (std::size_t c = 0; c < chain_count(); ++c) {
     last_op_[c] = last[c];
@@ -1049,12 +1038,8 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
       w.u8(n.op.value);
     }
   };
-  if (rules().per_block_chains) {
-    for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-      write_chain(p * cfg_.blocks + b);
-    }
-  } else {
-    write_chain(p);
+  for (std::size_t i = 0; i < rules().chains_per_proc(cfg_.blocks); ++i) {
+    write_chain(rules().chain_of(p, i, cfg_.blocks));
   }
   if (rules().store_chain) {  // store-tail record, TSO only
     const std::int8_t s = last_st_[p];
@@ -1090,7 +1075,7 @@ std::uint32_t ScChecker::obligation_procs() const noexcept {
   std::uint32_t mask = 0;
   for (std::size_t c = 0; c < chain_count(); ++c) {
     if (po_pending_[c]) {
-      mask |= 1u << (rules().per_block_chains ? c / cfg_.blocks : c);
+      mask |= 1u << rules().proc_of_chain(c, cfg_.blocks);
     }
   }
   if (rules().store_chain) {

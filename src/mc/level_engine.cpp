@@ -16,6 +16,7 @@
 #include "util/assert.hpp"
 #include "util/concurrent_fp_set.hpp"
 #include "util/fingerprint.hpp"
+#include "util/page_alloc.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scv {
@@ -215,12 +216,18 @@ class MetaArena {
 /// [u32 global index][preemption context, when bounded][product snapshot],
 /// delimited by an offsets array.  This is the compact frontier: a level
 /// lives as two flat buffers per worker (the one being read and the one
-/// being written) instead of a heavyweight object graph per state.
+/// being written) instead of a heavyweight object graph per state.  Both
+/// are page-mapped once large (util/page_alloc.hpp), so they leave the
+/// process with the run.
 struct FrontierBatch {
-  std::vector<std::uint8_t> bytes;
-  std::vector<std::uint32_t> offsets;
+  PageVector<std::uint8_t> bytes;
+  PageVector<std::uint32_t> offsets;
 
   [[nodiscard]] std::size_t size() const noexcept { return offsets.size(); }
+  void push(std::span<const std::uint8_t> e) {
+    offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
+    bytes.insert(bytes.end(), e.begin(), e.end());
+  }
   [[nodiscard]] std::span<const std::uint8_t> entry(std::size_t i) const {
     const std::size_t begin = offsets[i];
     const std::size_t end =
@@ -382,7 +389,7 @@ class LevelEngine {
     const auto key = w0.key.w.data();
     result_.state_bytes = key.size();
     visited_.insert(key, fingerprint128(key));
-    append_entry(frontier_[0], 0, init, w0.succ);
+    append_entry(frontier_[0], w0.entry_buf, 0, init, w0.succ);
   }
 
   /// Explores level by level to a verdict; empty when settle() gave the
@@ -503,9 +510,12 @@ class LevelEngine {
     std::uint64_t reduced_seen = 0;
     std::optional<CommuteScratch> chk;
     FrontierBatch out;  ///< next-level entries this worker claimed
+    /// A fresh state's entry is written here, then copied into `out`
+    /// (ByteWriter writes a std::vector only).
+    ByteWriter entry_buf;
     // Rank logs of the running phase, one vector per partition.
-    std::vector<std::vector<RankClaim>> claims;
-    std::vector<std::vector<RankOffer>> offers;
+    std::vector<PageVector<RankClaim>> claims;
+    std::vector<PageVector<RankOffer>> offers;
     Failure failure;
     /// Work-list item whose claim reached the state budget, if any.
     std::size_t limit_item = kNoItem;
@@ -632,7 +642,8 @@ class LevelEngine {
           {fp, rank, static_cast<std::uint32_t>(ws.out.size()),
            static_cast<std::uint32_t>(idx)});
     }
-    append_entry(ws.out, static_cast<std::uint32_t>(idx), ps, ws.succ);
+    append_entry(ws.out, ws.entry_buf, static_cast<std::uint32_t>(idx), ps,
+                 ws.succ);
     return idx + 1 < opt_.max_states;
   }
 
@@ -1074,19 +1085,20 @@ class LevelEngine {
     return frontier_[ref >> 32].entry(static_cast<std::uint32_t>(ref));
   }
 
-  void append_entry(FrontierBatch& b, std::uint32_t idx, const PreemptState& ps,
-                    const Product& p) const {
-    b.offsets.push_back(static_cast<std::uint32_t>(b.bytes.size()));
-    ByteWriter w(b.bytes);
-    w.u32(idx);
+  /// Appends state `idx`'s entry to `b`, writing it in `scratch` first.
+  void append_entry(FrontierBatch& b, ByteWriter& scratch, std::uint32_t idx,
+                    const PreemptState& ps, const Product& p) const {
+    scratch.clear();
+    scratch.u32(idx);
     if (preempt_) {
-      w.u8(ps.last);
-      w.u32(ps.budget);
+      scratch.u8(ps.last);
+      scratch.u32(ps.budget);
     }
     // Raw snapshots through the component loop, not the canonical key: the
     // canonical form deliberately erases pool IDs and handle naming, so it
     // cannot rebuild a steppable product.  Snapshot/restore is bit-faithful.
-    p.snapshot(w);
+    p.snapshot(scratch);
+    b.push(scratch.data());
   }
 
   const Protocol& proto_;
@@ -1132,6 +1144,8 @@ class LevelEngine {
   // in rank order through `order_` (packed worker << 32 | position).  An
   // empty order is the identity over batch 0 — the initial level, and every
   // level of a one-worker run, whose single batch is already in rank order.
+  // The orders stay on the heap: the calling thread grows them, and
+  // malloc_trim returns its arena's free pages.
   std::vector<FrontierBatch> frontier_;
   std::vector<std::uint64_t> order_;
   std::vector<std::uint64_t> next_order_;
@@ -1143,7 +1157,7 @@ class LevelEngine {
   bool logging_ = false;
   std::size_t items_ = 0;
   std::vector<std::uint32_t> fallbacks_;
-  std::vector<ItemStat> item_stats_;
+  PageVector<ItemStat> item_stats_;
   std::vector<ProvisoDecision> decisions_;  ///< the level's, ascending gi
   std::array<std::vector<LevelShard>, 2> shards_;
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "util/fingerprint.hpp"
+#include "util/page_alloc.hpp"
 
 namespace scv {
 
@@ -91,7 +92,7 @@ class LevelShard {
   /// this level (older states) are ignored.
   void offer(const RankOffer& o);
   [[nodiscard]] bool contains(Fingerprint fp) const;
-  [[nodiscard]] const std::vector<State>& states() const noexcept {
+  [[nodiscard]] const PageVector<State>& states() const noexcept {
     return states_;
   }
   /// Orders the states by minimum rank.  Invalidates lookups until the
@@ -101,8 +102,10 @@ class LevelShard {
  private:
   [[nodiscard]] std::size_t find(Fingerprint fp) const;
 
-  std::vector<State> states_;
-  std::vector<std::uint32_t> slots_;  ///< index into states_ + 1; 0 = empty
+  // Page-mapped (util/page_alloc.hpp): pool workers build these at every
+  // level barrier.
+  PageVector<State> states_;
+  PageVector<std::uint32_t> slots_;  ///< index into states_ + 1; 0 = empty
   std::size_t mask_ = 0;
 };
 

@@ -63,7 +63,9 @@ Observer::Observer(const Protocol& protocol, ObserverConfig config)
   // mode, overflow the location-alias ID range).
   SCV_EXPECTS(pr.locations <= kMaxLocations);
   rules_ = cfg_.model.rules();
+  procs_ = pr.procs;
   blocks_ = pr.blocks;
+  chains_ = rules_.chain_count(procs_, blocks_);
   const PoolBandwidth pb = pool_and_bandwidth(protocol, cfg_);
   pool_count_ = pb.pool;
   k_ = pb.k;
@@ -73,8 +75,8 @@ Observer::Observer(const Protocol& protocol, ObserverConfig config)
   // to announce retirements.
   pool_base_ = static_cast<GraphId>(k_ - pool_count_ + 1);
   SCV_EXPECTS(k_ >= 1 && k_ <= kMaxBandwidth);
-  pool_free_ = pool_count_ >= 64 ? ~0ULL
-                                 : ((1ULL << pool_count_) - 1);
+  pool_all_ = pool_count_ >= 64 ? ~0ULL : ((1ULL << pool_count_) - 1);
+  pool_free_ = pool_all_;
   nodes_.assign(pool_count_, Node{});
 }
 
@@ -98,9 +100,7 @@ void Observer::free_pool_id(GraphId id) {
 }
 
 std::size_t Observer::live_nodes() const noexcept {
-  std::size_t n = 0;
-  for (const Node& node : nodes_) n += node.in_use ? 1 : 0;
-  return n;
+  return static_cast<std::size_t>(std::popcount(live_mask()));
 }
 
 NodeHandle Observer::emit_op_node(const Operation& op,
@@ -110,7 +110,6 @@ NodeHandle Observer::emit_op_node(const Operation& op,
   const auto h = static_cast<NodeHandle>(id - pool_base_ + 1);
   Node& n = node(h);
   n = Node{};
-  n.in_use = true;
   n.op = op;
   n.pool_id = id;
   mark_touched(op.proc);  // new chain head + live-node count
@@ -151,7 +150,7 @@ void Observer::on_serialized(NodeHandle h, std::vector<Symbol>& out) {
     n.sto_pred = tail;
     // Constraint 5(a): the last load per processor inheriting from the tail
     // now owes — and immediately receives — a forced edge to h.
-    for (std::size_t p = 0; p < protocol_->params().procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       const NodeHandle j = t.pending_ld[p];
       if (j != kNone) {
         out.push_back(EdgeDesc{node(j).pool_id, n.pool_id, kAnnoForced});
@@ -164,7 +163,7 @@ void Observer::on_serialized(NodeHandle h, std::vector<Symbol>& out) {
     // obligations (constraint 5(b)).
     SCV_ASSERT(root_[b] == kNone && !root_gone_[b]);
     root_[b] = h;
-    for (std::size_t p = 0; p < protocol_->params().procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       const NodeHandle j = pending_bottom_[b][p];
       if (j != kNone) {
         out.push_back(EdgeDesc{node(j).pool_id, n.pool_id, kAnnoForced});
@@ -363,15 +362,15 @@ void Observer::retire(NodeHandle h, std::vector<Symbol>& out) {
     SCV_ASSERT(sto_tail_[b] != h);
     SCV_ASSERT(!rules().store_chain || last_st_[n.op.proc] != h);
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& m = nodes_[i];
-    if (!m.in_use || &m == &n) continue;
-    if (m.sto_succ == h) m.sto_succ = kGoneSucc;
-    if (m.sto_pred == h) m.sto_pred = kNone;
-    for (auto& pl : m.pending_ld) {
+  for (std::uint64_t m = live_mask() & ~(1ULL << (h - 1)); m != 0;
+       m &= m - 1) {
+    Node& o = nodes_[std::countr_zero(m)];
+    if (o.sto_succ == h) o.sto_succ = kGoneSucc;
+    if (o.sto_pred == h) o.sto_pred = kNone;
+    for (auto& pl : o.pending_ld) {
       if (pl == h) pl = kNone;
     }
-    if (m.pending_for == h) m.pending_for = kNone;
+    if (o.pending_for == h) o.pending_for = kNone;
   }
   free_pool_id(n.pool_id);
   n = Node{};
@@ -380,16 +379,17 @@ void Observer::retire(NodeHandle h, std::vector<Symbol>& out) {
 void Observer::retire_pass(std::span<const std::uint8_t> post_state,
                            std::vector<Symbol>& out) {
   bool bottom_loadable[kMaxObsBlocks] = {};
-  for (std::size_t b = 0; b < protocol_->params().blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     bottom_loadable[b] =
         protocol_->could_load_bottom(post_state, static_cast<BlockId>(b));
   }
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].in_use) continue;
-      const auto h = static_cast<NodeHandle>(i + 1);
+    // A pass retires only the node it visits, so every later node of the
+    // mask taken here is still live when the pass reaches it.
+    for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+      const auto h = static_cast<NodeHandle>(std::countr_zero(m) + 1);
       if (!must_hold(h, bottom_loadable)) {
         retire(h, out);
         changed = true;
@@ -400,8 +400,6 @@ void Observer::retire_pass(std::span<const std::uint8_t> post_state,
 
 void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
                          const ProcPerm* perm) const {
-  const auto& pr = protocol_->params();
-
   // Permutation-aware indirection.  The serialization of the π-permuted
   // observer differs from ours only in *where* the anchor arrays are read
   // (the permuted observer's chain c holds our chain π⁻¹(c), its location l
@@ -413,7 +411,7 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
   ProcPerm inv;
   LocId inv_loc[kMaxLocations + 1];
   if (permuted) {
-    SCV_EXPECTS(perm->n == pr.procs);
+    SCV_EXPECTS(perm->n == procs_);
     inv = perm->inverse();
     for (std::size_t m = 0; m < tracker_.locations(); ++m) {
       inv_loc[protocol_->permute_loc(static_cast<LocId>(m), *perm)] =
@@ -427,10 +425,7 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
     return permuted ? inv.to[p] : p;
   };
   const auto src_chain = [&](std::size_t c) -> std::size_t {
-    if (!permuted) return c;
-    if (!rules().per_block_chains) return inv.to[c];
-    return static_cast<std::size_t>(inv.to[c / pr.blocks]) * pr.blocks +
-           c % pr.blocks;
+    return permuted ? rules().chain_image(c, inv.to, blocks_) : c;
   };
   const auto out_proc = [&](ProcId p) -> std::uint8_t {
     return permuted ? perm->to[p] : p;
@@ -460,16 +455,16 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
     visit(last_op_[src_chain(c)]);
   }
   if (rules().store_chain) {  // TSO only: SC anchor order stays byte-stable
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       visit(last_st_[src_proc(p)]);
     }
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     visit(sto_tail_[b]);
     visit(root_[b]);
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       visit(pending_bottom_[b][src_proc(p)]);
     }
   }
@@ -477,7 +472,7 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
     const Node& n = node(order[i]);
     visit(n.sto_succ);
     visit(n.sto_pred);
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       visit(n.pending_ld[src_proc(p)]);
     }
     visit(n.pending_for);
@@ -508,15 +503,15 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
     sw.uvar(enc(last_op_[src_chain(c)]));
   }
   if (rules().store_chain) {  // TSO only: SC encoding stays byte-stable
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       sw.uvar(enc(last_st_[src_proc(p)]));
     }
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     sw.uvar(enc(sto_tail_[b]));
     sw.uvar(enc(root_[b]));
     sw.u8(root_gone_[b] ? 1 : 0);
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       sw.uvar(enc(pending_bottom_[b][src_proc(p)]));
     }
   }
@@ -531,7 +526,7 @@ void Observer::serialize(ByteWriter& w, std::vector<GraphId>* id_canon,
     sw.u8(n.serialized ? 1 : 0);
     sw.uvar(enc(n.sto_succ));
     sw.uvar(enc(n.sto_pred));
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       sw.uvar(enc(n.pending_ld[src_proc(p)]));
     }
     sw.uvar(enc(n.pending_for));
@@ -571,7 +566,6 @@ void Observer::snapshot(ByteWriter& w) const {
   // the mask is all restore() needs to rebuild them.  Encoded into stack
   // scratch and bulk-appended like serialize(); every varint below is a
   // uint32 or smaller (<= 5 bytes) except peak_live_ and the mask.
-  const auto& pr = protocol_->params();
   std::uint8_t scratch[5 * (kMaxLocations + 1) + 8 + 2 * 10 +
                        5 * kMaxObsProcs * (kMaxObsBlocks + 1) +
                        kMaxObsBlocks * (11 + 5 * kMaxObsProcs) +
@@ -584,20 +578,17 @@ void Observer::snapshot(ByteWriter& w) const {
   sw.uvar(peak_live_);
   for (std::size_t c = 0; c < chain_count(); ++c) sw.uvar(last_op_[c]);
   if (rules().store_chain) {  // TSO only: SC encoding stays byte-stable
-    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(last_st_[p]);
+    for (std::size_t p = 0; p < procs_; ++p) sw.uvar(last_st_[p]);
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     sw.uvar(sto_tail_[b]);
     sw.uvar(root_[b]);
     sw.u8(root_gone_[b] ? 1 : 0);
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       sw.uvar(pending_bottom_[b][p]);
     }
   }
-  std::uint64_t live = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].in_use) live |= 1ULL << i;
-  }
+  const std::uint64_t live = live_mask();
   sw.uvar(live);
   for (std::uint64_t m = live; m != 0; m &= m - 1) {
     const Node& n = nodes_[std::countr_zero(m)];
@@ -610,7 +601,7 @@ void Observer::snapshot(ByteWriter& w) const {
     sw.u8(n.serialized ? 1 : 0);
     sw.uvar(n.sto_succ);
     sw.uvar(n.sto_pred);
-    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(n.pending_ld[p]);
+    for (std::size_t p = 0; p < procs_; ++p) sw.uvar(n.pending_ld[p]);
     sw.uvar(n.pending_for);
     sw.u8(n.bottom_pending ? 1 : 0);
   }
@@ -618,8 +609,7 @@ void Observer::snapshot(ByteWriter& w) const {
 }
 
 void Observer::permute_procs(const ProcPerm& perm) {
-  const auto& pr = protocol_->params();
-  SCV_EXPECTS(perm.n == pr.procs);
+  SCV_EXPECTS(perm.n == procs_);
   if (perm.is_identity()) return;
   touched_ = ~0u;  // signatures relocate wholesale; the step mask is void
 
@@ -634,14 +624,8 @@ void Observer::permute_procs(const ProcPerm& perm) {
 
   // Program-order chain anchors move to their renamed processor.
   NodeHandle chains[kMaxObsProcs * kMaxObsBlocks] = {};
-  for (std::size_t p = 0; p < pr.procs; ++p) {
-    if (rules().per_block_chains) {
-      for (std::size_t b = 0; b < pr.blocks; ++b) {
-        chains[perm.to[p] * pr.blocks + b] = last_op_[p * pr.blocks + b];
-      }
-    } else {
-      chains[perm.to[p]] = last_op_[p];
-    }
+  for (std::size_t c = 0; c < chain_count(); ++c) {
+    chains[rules().chain_image(c, perm.to, blocks_)] = last_op_[c];
   }
   for (std::size_t c = 0; c < chain_count(); ++c) last_op_[c] = chains[c];
 
@@ -649,36 +633,35 @@ void Observer::permute_procs(const ProcPerm& perm) {
   // TSO).
   {
     NodeHandle st[kMaxObsProcs] = {};
-    for (std::size_t p = 0; p < pr.procs; ++p) st[perm.to[p]] = last_st_[p];
-    for (std::size_t p = 0; p < pr.procs; ++p) last_st_[p] = st[p];
+    for (std::size_t p = 0; p < procs_; ++p) st[perm.to[p]] = last_st_[p];
+    for (std::size_t p = 0; p < procs_; ++p) last_st_[p] = st[p];
   }
 
   // Pending ⊥-load anchors are indexed by processor per block.
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     NodeHandle row[kMaxObsProcs] = {};
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       row[perm.to[p]] = pending_bottom_[b][p];
     }
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       pending_bottom_[b][p] = row[p];
     }
   }
 
   // Node operations take the renamed processor; handles, pool IDs and the
   // free mask stay put so the descriptor-ID assignment is unchanged.
-  for (Node& n : nodes_) {
-    if (!n.in_use) continue;
+  for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+    Node& n = nodes_[std::countr_zero(m)];
     n.op.proc = perm(n.op.proc);
     NodeHandle pl[kMaxObsProcs] = {};
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       pl[perm.to[p]] = n.pending_ld[p];
     }
-    for (std::size_t p = 0; p < pr.procs; ++p) n.pending_ld[p] = pl[p];
+    for (std::size_t p = 0; p < procs_; ++p) n.pending_ld[p] = pl[p];
   }
 }
 
 void Observer::proc_signature(ProcId p, ByteWriter& w) const {
-  const auto& pr = protocol_->params();
   const auto write_chain = [&](std::size_t c) {
     const NodeHandle h = last_op_[c];
     if (h == kNone) {
@@ -694,12 +677,8 @@ void Observer::proc_signature(ProcId p, ByteWriter& w) const {
     w.u8(n.bottom_pending ? 1 : 0);
     w.uvar(n.copies);
   };
-  if (rules().per_block_chains) {
-    for (std::size_t b = 0; b < pr.blocks; ++b) {
-      write_chain(p * pr.blocks + b);
-    }
-  } else {
-    write_chain(p);
+  for (std::size_t i = 0; i < rules().chains_per_proc(blocks_); ++i) {
+    write_chain(rules().chain_of(p, i, blocks_));
   }
   if (rules().store_chain) {  // store-tail record, TSO only
     const NodeHandle h = last_st_[p];
@@ -713,18 +692,17 @@ void Observer::proc_signature(ProcId p, ByteWriter& w) const {
       w.u8(n.serialized ? 1 : 0);
     }
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     w.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
   }
   std::uint32_t mine = 0;
-  for (const Node& n : nodes_) {
-    if (n.in_use && n.op.proc == p) ++mine;
+  for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+    if (nodes_[std::countr_zero(m)].op.proc == p) ++mine;
   }
   w.uvar(mine);
 }
 
 void Observer::restore(ByteReader& r) {
-  const auto& pr = protocol_->params();
   tracker_.restore(r);
   pool_free_ = r.u64();
   peak_live_ = static_cast<std::size_t>(r.uvar());
@@ -732,25 +710,24 @@ void Observer::restore(ByteReader& r) {
     last_op_[c] = static_cast<NodeHandle>(r.uvar());
   }
   if (rules().store_chain) {
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       last_st_[p] = static_cast<NodeHandle>(r.uvar());
     }
   }
-  for (std::size_t b = 0; b < pr.blocks; ++b) {
+  for (std::size_t b = 0; b < blocks_; ++b) {
     sto_tail_[b] = static_cast<NodeHandle>(r.uvar());
     root_[b] = static_cast<NodeHandle>(r.uvar());
     root_gone_[b] = r.u8() != 0;
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       pending_bottom_[b][p] = static_cast<NodeHandle>(r.uvar());
     }
   }
   const std::uint64_t live = r.uvar();
-  SCV_EXPECTS(nodes_.size() >= 64 || (live >> nodes_.size()) == 0);
+  SCV_EXPECTS(live == live_mask());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     n = Node{};
     if (((live >> i) & 1) == 0) continue;
-    n.in_use = true;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
     n.op.block = r.u8();
@@ -760,7 +737,7 @@ void Observer::restore(ByteReader& r) {
     n.serialized = r.u8() != 0;
     n.sto_succ = static_cast<NodeHandle>(r.uvar());
     n.sto_pred = static_cast<NodeHandle>(r.uvar());
-    for (std::size_t p = 0; p < pr.procs; ++p) {
+    for (std::size_t p = 0; p < procs_; ++p) {
       n.pending_ld[p] = static_cast<NodeHandle>(r.uvar());
     }
     n.pending_for = static_cast<NodeHandle>(r.uvar());

