@@ -385,7 +385,8 @@ class LevelEngine {
     Worker& w0 = *workers_[0];
     const PreemptState init{PreemptState::kNoLastProc,
                             opt.observer.model.preemption_bound};
-    orbit_sum_ = canonicalize(w0, init);
+    orbit_sum_ = w0.canon.canonicalize_key(w0.succ, w0.key);
+    append_context(w0, init);
     const auto key = w0.key.w.data();
     result_.state_bytes = key.size();
     visited_.insert(key, fingerprint128(key));
@@ -591,15 +592,19 @@ class LevelEngine {
   /// writes its key (with the scheduling context when bounded) and returns
   /// the orbit size.
   std::uint64_t canonicalize(Worker& ws, const PreemptState& ps) {
-    // succ = step(cur, t), so the step's touched mask doubles as the dirty
-    // mask relative to the begin_base() state.
-    const std::uint64_t orbit = ws.canon.canonicalize_key(
-        ws.succ, ws.key, nullptr, ws.succ.touched_procs());
-    if (preempt_) {
-      ws.key.w.u8(ps.last);
-      ws.key.w.u32(ps.budget);
-    }
+    // succ = step(cur, t), so the step's certificates are relative to the
+    // begin_base() state: the successor entry point reads them.
+    const std::uint64_t orbit =
+        ws.canon.canonicalize_successor(ws.succ, ws.key);
+    append_context(ws, ps);
     return orbit;
+  }
+
+  /// The scheduling context closes the key when preemption is bounded.
+  void append_context(Worker& ws, const PreemptState& ps) const {
+    if (!preempt_) return;
+    ws.key.w.u8(ps.last);
+    ws.key.w.u32(ps.budget);
   }
 
   /// Claim/dedup.  In fingerprint mode dedup is by fingerprint identity, so
@@ -891,8 +896,8 @@ class LevelEngine {
   /// False when the worker must stop: a failure, a successor ranked past the
   /// lowest failure, the state budget or a full table.
   bool expand_entry(Worker& ws, std::size_t k, std::size_t gi) {
-    // New base state for the canonicalizer's per-processor signature cache;
-    // successor dirty masks below are relative to ws.cur.  After the ample
+    // New base state for the canonicalizer's signature and key-part caches;
+    // successor certificates below are relative to ws.cur.  After the ample
     // self-check on purpose: the check canonicalizes unrelated states with a
     // full dirty mask, which would poison the epoch.
     ws.canon.begin_base();

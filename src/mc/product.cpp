@@ -7,6 +7,13 @@
 
 namespace scv {
 
+namespace {
+/// One key-part reuse in this many is recomputed and compared under
+/// SCV_ASSERT: a live check of the change certificates at the cadence of
+/// the engine's sampled ample cross-validation.
+constexpr std::uint64_t kReuseCheckEvery = 4096;
+}  // namespace
+
 Product::Product(const Protocol& protocol, const ObserverConfig& config,
                  bool with_observer)
     : protocol_(&protocol), state_(protocol.state_size()) {
@@ -47,6 +54,7 @@ StepOutcome Product::step(const Transition& t, std::vector<Symbol>& symbols,
   if (st == ObserverStatus::TrackingInconsistent) {
     return StepOutcome::Tracking;
   }
+  checker_fed_ = !symbols.empty();
   const ScChecker::Status verdict = chk_->feed_batch(symbols);
   for (SymbolSink* sink : sinks_) {
     sink->begin_step(action);
@@ -79,6 +87,7 @@ void Product::restore(ByteReader& r) {
   const auto v = r.view(state_.size());
   std::copy(v.begin(), v.end(), state_.begin());
   state_touched_ = ~0u;
+  checker_fed_ = true;
   if (obs_) {
     obs_->restore(r);
     chk_->restore(r);
@@ -89,6 +98,7 @@ void Product::assign_from(const Product& other) {
   SCV_EXPECTS(with_observer() == other.with_observer());
   state_ = other.state_;
   state_touched_ = ~0u;
+  checker_fed_ = true;
   if (obs_) {
     *obs_ = *other.obs_;
     *chk_ = *other.chk_;
@@ -99,6 +109,7 @@ void Product::permute_procs(const ProcPerm& perm) {
   if (perm.is_identity()) return;
   protocol_->permute_procs(state_, perm);
   state_touched_ = ~0u;
+  checker_fed_ = true;
   if (obs_) {
     obs_->permute_procs(perm);
     chk_->permute_procs(perm);
@@ -143,23 +154,107 @@ ProcCanonicalizer::ProcCanonicalizer(const Protocol& protocol, bool enable)
 std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
                                                   ProcPerm* applied,
                                                   std::uint32_t dirty_mask) {
-  if (applied != nullptr) {
-    *applied = ProcPerm::identity(std::min(procs_, ProcPerm::kMax));
+  return canonicalize(p, ks, applied, dirty_mask, {});
+}
+
+std::uint64_t ProcCanonicalizer::canonicalize_successor(Product& p,
+                                                        KeyScratch& ks) {
+  // Read the certificates first: permuting `p` poisons them.
+  Unchanged same;
+  if (p.with_observer()) {
+    same = {!p.observer().changed(), !p.checker_fed()};
   }
+  return canonicalize(p, ks, nullptr, p.touched_procs(), same);
+}
+
+std::uint64_t ProcCanonicalizer::canonicalize(Product& p, KeyScratch& ks,
+                                              ProcPerm* applied,
+                                              std::uint32_t dirty_mask,
+                                              Unchanged same) {
+  const ProcPerm identity =
+      ProcPerm::identity(std::min(procs_, ProcPerm::kMax));
+  if (applied != nullptr) *applied = identity;
   if (!active_) {
-    (void)p.key(ks);
+    write_key(p, p.protocol_state(), ks, nullptr, identity, same);
     return 1;
   }
   const SortedOrder order = sorted_order(p, dirty_mask);
-  if (order.has_tie) return search_ties(p, ks, applied, order);
+  if (order.has_tie) return search_ties(p, ks, applied, order, same);
   // Distinct signatures: the sorting permutation is the only candidate,
   // and the stabilizer is trivial (a stabilizing permutation would have
   // to map equal signatures onto each other), so the orbit is full.
   const ProcPerm pi = order.perm(procs_);
   p.permute_procs(pi);
   if (applied != nullptr) *applied = pi;
-  (void)p.key(ks);
+  write_key(p, p.protocol_state(), ks, nullptr, pi, same);
   return factorial_;
+}
+
+void ProcCanonicalizer::write_key(const Product& p,
+                                  std::span<const std::uint8_t> state,
+                                  KeyScratch& ks, const ProcPerm* perm,
+                                  const ProcPerm& pi, Unchanged same) {
+  ks.w.clear();
+  ks.w.bytes(state);  // the protocol's encoding is already canonical
+  if (!p.with_observer()) return;
+  // An unchanged observer serializes as the base does under `pi`, and an
+  // unfed checker under the same id_canon as the base's does too.
+  KeyParts* c = same.observer || same.checker ? key_parts(pi) : nullptr;
+  const auto sampled = [this] { return reuses_++ % kReuseCheckEvery == 0; };
+  const Observer& obs = p.observer();
+  std::span<const GraphId> ids;
+  if (c != nullptr && same.observer && c->has_obs) {
+    ks.w.bytes(c->obs);
+    ids = c->obs_ids;
+    if (sampled()) {
+      recheck_.w.clear();
+      obs.serialize(recheck_.w, &recheck_.id_canon, perm);
+      SCV_ASSERT(recheck_.w.data() == c->obs &&
+                 recheck_.id_canon == c->obs_ids);
+    }
+  } else {
+    const std::size_t at = ks.w.data().size();
+    obs.serialize(ks.w, &ks.id_canon, perm);
+    ids = ks.id_canon;
+    if (c != nullptr && same.observer) {
+      c->obs.assign(ks.w.data().begin() + static_cast<std::ptrdiff_t>(at),
+                    ks.w.data().end());
+      c->obs_ids = ks.id_canon;
+      c->has_obs = true;
+    }
+  }
+  const ScChecker& chk = p.checker();
+  if (c != nullptr && same.checker && c->has_chk &&
+      std::ranges::equal(ids, c->chk_ids)) {
+    ks.w.bytes(c->chk);
+    if (sampled()) {
+      recheck_.w.clear();
+      chk.serialize_canonical(recheck_.w, ids, perm);
+      SCV_ASSERT(recheck_.w.data() == c->chk);
+    }
+    return;
+  }
+  const std::size_t at = ks.w.data().size();
+  chk.serialize_canonical(ks.w, ids, perm);
+  if (c != nullptr && same.checker && !c->has_chk) {
+    c->chk.assign(ks.w.data().begin() + static_cast<std::ptrdiff_t>(at),
+                  ks.w.data().end());
+    c->chk_ids.assign(ids.begin(), ids.end());
+    c->has_chk = true;
+  }
+}
+
+ProcCanonicalizer::KeyParts* ProcCanonicalizer::key_parts(
+    const ProcPerm& pi) {
+  for (std::size_t i = 0; i < parts_used_; ++i) {
+    if (parts_[i].pi == pi) return &parts_[i];
+  }
+  if (parts_used_ == kKeyPartSlots) return nullptr;
+  KeyParts& c = parts_[parts_used_++];
+  c.pi = pi;
+  c.has_obs = false;
+  c.has_chk = false;
+  return &c;
 }
 
 ProcCanonicalizer::SortedOrder ProcCanonicalizer::sorted_order(
@@ -245,7 +340,8 @@ ProcCanonicalizer::SortedOrder ProcCanonicalizer::sorted_order(
 
 std::uint64_t ProcCanonicalizer::search_ties(Product& p, KeyScratch& ks,
                                              ProcPerm* applied,
-                                             SortedOrder order) {
+                                             SortedOrder order,
+                                             Unchanged same) {
   // Enumerate every sorting permutation (each tie group's slots filled by
   // any arrangement of its members) and take the least serialized key.
   //
@@ -303,12 +399,7 @@ std::uint64_t ProcCanonicalizer::search_ties(Product& p, KeyScratch& ks,
     const ProcPerm pi = order.perm(procs_);
     p.protocol().permute_procs(perm_state_, prev.inverse().then(pi));
     prev = pi;
-    trial_.w.clear();
-    trial_.w.bytes(perm_state_);
-    if (p.with_observer()) {
-      p.observer().serialize(trial_.w, &trial_.id_canon, &pi);
-      p.checker().serialize_canonical(trial_.w, trial_.id_canon, &pi);
-    }
+    write_key(p, perm_state_, trial_, &pi, pi, same);
     consider(trial_.w.data(), pi);
   } while (advance());
   p.permute_procs(best_perm);

@@ -44,6 +44,9 @@ namespace scv {
 /// Reusable per-worker scratch for key(): the writer buffer and the
 /// observer's ID renaming (descriptor ID -> canonical node number), which
 /// the checker reads.  Reusing both kills per-transition heap allocations.
+/// The renaming is scratch: a key whose observer part came from
+/// ProcCanonicalizer's key-part cache leaves it as the last serialization
+/// wrote it.
 struct KeyScratch {
   ByteWriter w;
   std::vector<GraphId> id_canon;
@@ -161,12 +164,19 @@ class Product {
   /// assign_from and permute_procs poison it to all-ones (DESIGN.md §13).
   [[nodiscard]] std::uint32_t touched_procs() const;
 
+  /// Whether the last step() fed the checker any symbol: false certifies
+  /// the checker's state is the pre-step one.  Like touched_procs(), only
+  /// meaningful immediately after a step; restore, assign_from and
+  /// permute_procs set it to true.
+  [[nodiscard]] bool checker_fed() const noexcept { return checker_fed_; }
+
  private:
   const Protocol* protocol_;
   std::vector<std::uint8_t> state_;
   /// Protocol::touched_procs of the last step's pre-state; all-ones until
   /// the first step and after any whole-state write.
   std::uint32_t state_touched_ = ~0u;
+  bool checker_fed_ = true;  ///< see checker_fed()
   std::optional<Observer> obs_;   ///< empty in protocol-only mode
   std::optional<ScChecker> chk_;  ///< empty in protocol-only mode
   std::vector<SymbolSink*> sinks_;
@@ -223,17 +233,63 @@ class ProcCanonicalizer {
                                  ProcPerm* applied = nullptr,
                                  std::uint32_t dirty_mask = kAllDirty);
 
+  /// canonicalize_key for a successor: `p` must be assign_from(base) + step,
+  /// where base is the state of the current begin_base() epoch.  Reads the
+  /// step's certificates itself — touched_procs() as the dirty mask,
+  /// Observer::changed() and Product::checker_fed() — and reuses the
+  /// epoch's cached observer and checker key bytes where they certify
+  /// nothing changed.  Same key bytes and orbit as canonicalize_key.
+  std::uint64_t canonicalize_successor(Product& p, KeyScratch& ks);
+
   /// Starts a new base epoch: the next canonicalize_key call with a clean
   /// bit in its dirty mask (re)fills that processor's cached signature, and
-  /// later calls in the same epoch reuse it.  Call whenever the base state
+  /// later calls in the same epoch reuse it; the key-part cache of
+  /// canonicalize_successor empties likewise.  Call whenever the base state
   /// that dirty masks are measured against changes (the worker calls it
   /// after restoring each frontier entry).
   void begin_base() noexcept {
     base_valid_ = 0;
     order_valid_ = false;
+    parts_used_ = 0;
   }
 
  private:
+  /// What a successor's step certifies unchanged from the epoch's base.
+  struct Unchanged {
+    bool observer = false;  ///< !Observer::changed()
+    bool checker = false;   ///< !Product::checker_fed()
+  };
+
+  /// The epoch base's observer and checker key parts as serialized under
+  /// permutation `pi`.  The observer part carries the id_canon it wrote;
+  /// the checker part, the id_canon it was written under (it depends on
+  /// nothing else once the checker is certified unchanged).
+  struct KeyParts {
+    ProcPerm pi;
+    bool has_obs = false;
+    bool has_chk = false;
+    std::vector<std::uint8_t> obs;
+    std::vector<GraphId> obs_ids;
+    std::vector<std::uint8_t> chk;
+    std::vector<GraphId> chk_ids;
+  };
+  /// Distinct permutations cached per epoch; later ones serialize in full.
+  static constexpr std::size_t kKeyPartSlots = 4;
+
+  std::uint64_t canonicalize(Product& p, KeyScratch& ks, ProcPerm* applied,
+                             std::uint32_t dirty_mask, Unchanged same);
+  /// Writes `p`'s key into `ks`: the protocol state, then (with an
+  /// observer) the observer's and checker's parts serialized under `perm`
+  /// (null: as `p` stands).  `pi` is the permutation from the epoch's base
+  /// to the serialized form; parts `same` certifies unchanged come from,
+  /// or fill, the cache entry for `pi`.
+  void write_key(const Product& p, std::span<const std::uint8_t> state,
+                 KeyScratch& ks, const ProcPerm* perm, const ProcPerm& pi,
+                 Unchanged same);
+  /// The cache entry for `pi`, claiming a free slot if none holds it yet;
+  /// null when every slot holds another permutation.
+  KeyParts* key_parts(const ProcPerm& pi);
+
   /// Processors sorted by signature: slot i of the sorted order holds
   /// processor pos[i], and tie group g (a maximal run of equal signatures)
   /// spans slots gstart[g]..gend[g]-1.
@@ -260,7 +316,7 @@ class ProcCanonicalizer {
   /// tie groups, found by delta re-keying; applies it to `p` and returns
   /// the orbit size.
   std::uint64_t search_ties(Product& p, KeyScratch& ks, ProcPerm* applied,
-                            SortedOrder order);
+                            SortedOrder order, Unchanged same);
 
   bool active_ = false;
   std::size_t procs_ = 1;
@@ -286,6 +342,12 @@ class ProcCanonicalizer {
   // under the tie-loop's current permutation (repermuted in place between
   // candidates instead of restored from the original).
   std::vector<std::uint8_t> perm_state_;
+  // Key-part cache for the current begin_base() epoch: slots 0..parts_used_
+  // hold the base's parts under one permutation each.
+  std::array<KeyParts, kKeyPartSlots> parts_{};
+  std::size_t parts_used_ = 0;
+  std::uint64_t reuses_ = 0;  ///< counts reuses for the sampled recheck
+  KeyScratch recheck_;
 };
 
 }  // namespace scv

@@ -113,6 +113,7 @@ NodeHandle Observer::emit_op_node(const Operation& op,
   n.op = op;
   n.pool_id = id;
   mark_touched(op.proc);  // new chain head + live-node count
+  changed_ = true;
   out.push_back(NodeDesc{id, op});
 
   const std::size_t chain = chain_of(op);
@@ -141,6 +142,7 @@ void Observer::on_serialized(NodeHandle h, std::vector<Symbol>& out) {
   SCV_ASSERT(n.op.is_store() && !n.serialized);
   n.serialized = true;
   mark_touched(n.op.proc);  // the flag is visible via n's chain head record
+  changed_ = true;
   const BlockId b = n.op.block;
   const NodeHandle tail = sto_tail_[b];
   if (tail != kNone) {
@@ -187,6 +189,7 @@ void Observer::apply_tracking(const Transition& t, NodeHandle store_node,
     tracker_.on_store(t.loc, store_node);
     ++node(store_node).copies;
     mark_touched(node(store_node).op.proc);
+    changed_ = true;
     if (cfg_.location_mirrored) {
       out.push_back(AddId{node(store_node).pool_id, loc_id(t.loc)});
     }
@@ -212,6 +215,9 @@ void Observer::apply_tracking(const Transition& t, NodeHandle store_node,
       ++node(staged[i]).copies;
       mark_touched(node(staged[i]).op.proc);
     }
+    // A copy onto a location already tracking the same store leaves the
+    // tracker and the copy counts as they were.
+    if (staged[i] != old) changed_ = true;
   }
   tracker_.on_copies({t.copies.begin(), t.copies.size()});
   if (cfg_.location_mirrored) {
@@ -232,6 +238,7 @@ ObserverStatus Observer::step(const Transition& t,
                               std::span<const std::uint8_t> post_state,
                               std::vector<Symbol>& out) {
   touched_ = 0;
+  changed_ = false;
   const Action& a = t.action;
 
   if (a.kind == Action::Kind::Store) {
@@ -348,6 +355,7 @@ bool Observer::must_hold(NodeHandle h, const bool* bottom_loadable) const {
 void Observer::retire(NodeHandle h, std::vector<Symbol>& out) {
   Node& n = node(h);
   mark_touched(n.op.proc);  // live-node count drops
+  changed_ = true;
   // Announce the retirement: rebinding the node's ID to the null ID unbinds
   // it, retiring the node in the checker with edge contraction.  (In
   // location-mirrored mode the pool ID is the node's only remaining alias:
@@ -612,6 +620,7 @@ void Observer::permute_procs(const ProcPerm& perm) {
   SCV_EXPECTS(perm.n == procs_);
   if (perm.is_identity()) return;
   touched_ = ~0u;  // signatures relocate wholesale; the step mask is void
+  changed_ = true;
 
   // Tracker entries relocate with their storage location.
   permute_scratch_.assign(tracker_.locations(), StIndexTracker::kNoStore);
@@ -703,6 +712,7 @@ void Observer::proc_signature(ProcId p, ByteWriter& w) const {
 }
 
 void Observer::restore(ByteReader& r) {
+  const std::uint64_t was_live = live_mask();
   tracker_.restore(r);
   pool_free_ = r.u64();
   peak_live_ = static_cast<std::size_t>(r.uvar());
@@ -724,10 +734,14 @@ void Observer::restore(ByteReader& r) {
   }
   const std::uint64_t live = r.uvar();
   SCV_EXPECTS(live == live_mask());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& n = nodes_[i];
+  // Free handles always hold a default Node (retire() resets them), so only
+  // the handles leaving the live set need clearing.
+  for (std::uint64_t gone = was_live & ~live; gone != 0; gone &= gone - 1) {
+    nodes_[std::countr_zero(gone)] = Node{};
+  }
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    Node& n = nodes_[std::countr_zero(m)];
     n = Node{};
-    if (((live >> i) & 1) == 0) continue;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
     n.op.block = r.u8();
@@ -744,6 +758,7 @@ void Observer::restore(ByteReader& r) {
     n.bottom_pending = r.u8() != 0;
   }
   touched_ = ~0u;  // arbitrary new state: no step to be relative to
+  changed_ = true;
   error_.clear();
 }
 

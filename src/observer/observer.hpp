@@ -197,6 +197,16 @@ class Observer {
     return touched_;
   }
 
+  /// Change certificate: false only after a step() that left every field
+  /// serialize() reads — the tracker, the chain, store-chain and ST-order
+  /// anchors, the pending ⊥ anchors and the live-node records — exactly as
+  /// it was, so the pre-step serialize() bytes and id_canon still stand.
+  /// Set by node creation and retirement, on_serialized, a store's tracking
+  /// label, and a copy that switches its destination to a different store;
+  /// restore() and permute_procs() poison it like touched_procs().  The
+  /// canonicalizer reuses the observer's key bytes on it (DESIGN.md §13).
+  [[nodiscard]] bool changed() const noexcept { return changed_; }
+
  private:
   static constexpr NodeHandle kNone = 0;
   /// sto_succ sentinel: the successor existed but has been retired.
@@ -306,6 +316,7 @@ class Observer {
 
   std::size_t peak_live_ = 0;
   std::uint32_t touched_ = ~0u;
+  bool changed_ = true;  ///< see changed()
   std::string error_;
   /// Scratch for permute_procs' tracker relocation (kept to reuse capacity;
   /// always empty outside that call, so copies stay cheap).

@@ -1,11 +1,12 @@
 // Differential tests for incremental canonicalization (DESIGN.md §13): the
-// dirty-mask/signature-cache/delta-re-keying canonicalizer must be *byte
-// identical* to a reference permute-and-reserialize canonicalizer — same
-// canonical keys, same orbit counts — and the dirty-mask contract it leans
-// on (a clear bit certifies the processor's signature did not change) must
-// hold along real exploration walks, not just on hand-picked states.  The
-// reference lives here, as a test-only oracle built from nothing but the
-// product's public permute_procs / key / proc_signature.
+// dirty-mask/signature-cache/key-part-cache/delta-re-keying canonicalizer
+// must be *byte identical* to a reference permute-and-reserialize
+// canonicalizer — same canonical keys, same orbit counts — and the
+// dirty-mask contract it leans on (a clear bit certifies the processor's
+// signature did not change) must hold along real exploration walks, not
+// just on hand-picked states.  The reference lives here, as a test-only
+// oracle built from nothing but the product's public permute_procs / key /
+// proc_signature.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "checker/memory_model.hpp"
 #include "mc/product.hpp"
 #include "protocol/registry.hpp"
 #include "util/byte_io.hpp"
@@ -109,18 +111,27 @@ OracleKey reference_canonical_key(Product& p) {
   }
 }
 
-// One random walk over `proto`'s product: from each visited state, every
-// enabled successor is canonicalized twice — incrementally (with the
-// successor's real touched-processor mask) and from scratch by the
-// reference oracle — and the keys and orbit counts must agree byte for
-// byte.  Along the way, every processor whose dirty bit is *clear* must
-// have a signature byte-identical to the base state's (the soundness
-// contract the signature cache depends on).
-// Returns the number of successors compared (so callers can assert the
-// walk did real work and did not dead-end immediately).
-std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
-                              std::size_t max_bases) {
-  const ObserverConfig ocfg;
+struct WalkCounts {
+  std::size_t compared = 0;
+  /// Successors whose observer or checker key part an earlier successor of
+  /// the same base had already left unchanged: candidates for reuse.
+  std::size_t reusable = 0;
+};
+
+// One random walk over `proto`'s product under `model`: from each visited
+// state, every enabled successor is canonicalized twice — through the
+// engine's successor entry point (with the step's real certificates: dirty
+// mask, observer change, checker feed) and from scratch by the reference
+// oracle — and the keys and orbit counts must agree byte for byte.  Along
+// the way, every processor whose dirty bit is *clear* must have a
+// signature byte-identical to the base state's (the soundness contract the
+// signature cache depends on).  Returns the successors compared and the
+// reuse candidates among them (so callers can assert the walk did real
+// work and did not dead-end immediately).
+WalkCounts differential_walk(const Protocol& proto, const MemoryModel& model,
+                             std::uint64_t seed, std::size_t max_bases) {
+  ObserverConfig ocfg;
+  ocfg.model = model;
   Product cur(proto, ocfg, /*with_observer=*/true);
   Product succ_inc(proto, ocfg, /*with_observer=*/true);
   Product succ_ref(proto, ocfg, /*with_observer=*/true);
@@ -131,13 +142,15 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
   std::vector<Transition> ts;
   std::vector<Symbol> syms;
   const std::size_t procs = proto.params().procs;
-  std::size_t compared = 0;
+  WalkCounts counts;
 
   for (std::size_t base = 0; base < max_bases; ++base) {
     canon.begin_base();
     ts.clear();
     cur.enumerate(ts);
     if (ts.empty()) break;
+    bool obs_seen = false;
+    bool chk_seen = false;
 
     std::vector<std::size_t> ok;  // indices whose step completed
     for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -155,17 +168,23 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
             << ": untouched signature differs from base";
       }
 
+      const bool obs_same = !succ_inc.observer().changed();
+      const bool chk_same = !succ_inc.checker_fed();
+      if ((obs_same && obs_seen) || (chk_same && chk_seen)) ++counts.reusable;
+      obs_seen = obs_seen || obs_same;
+      chk_seen = chk_seen || chk_same;
+
       succ_ref.assign_from(cur);
       EXPECT_EQ(succ_ref.step(ts[i], syms), StepOutcome::Ok);
-      const std::uint64_t orbit =
-          canon.canonicalize_key(succ_inc, ks, nullptr, dirty);
+      const std::uint64_t orbit = canon.canonicalize_successor(succ_inc, ks);
       const OracleKey ref = reference_canonical_key(succ_ref);
       EXPECT_EQ(orbit, ref.orbit)
-          << proto.name() << ": base " << base << " transition " << i;
+          << proto.name() << " × " << to_string(model) << ": base " << base
+          << " transition " << i;
       EXPECT_EQ(ks.w.data(), ref.key)
-          << proto.name() << ": base " << base << " transition " << i
-          << ": canonical keys diverge";
-      ++compared;
+          << proto.name() << " × " << to_string(model) << ": base " << base
+          << " transition " << i << ": canonical keys diverge";
+      ++counts.compared;
     }
     if (ok.empty()) break;
 
@@ -177,20 +196,30 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
     EXPECT_EQ(succ_inc.step(ts[pick], syms), StepOutcome::Ok);
     cur.assign_from(succ_inc);
   }
-  return compared;
+  return counts;
 }
 
 TEST(IncrementalCanon, DifferentialAlongRandomWalks) {
+  std::size_t reusable = 0;
   for (const RegisteredProtocol& entry : protocol_registry()) {
     const auto proto = entry.make();
-    std::size_t compared = 0;
-    for (std::uint64_t seed : {0x5cu, 0xc0ffeeu}) {
-      compared += differential_walk(*proto, seed, /*max_bases=*/60);
+    for (const NamedModel& nm : memory_model_axis()) {
+      std::size_t compared = 0;
+      for (std::uint64_t seed : {0x5cu, 0xc0ffeeu}) {
+        const WalkCounts c =
+            differential_walk(*proto, nm.model, seed, /*max_bases=*/60);
+        compared += c.compared;
+        reusable += c.reusable;
+      }
+      // Both walks together must have exercised a real slice of the
+      // product (a protocol whose walk dead-ends immediately would
+      // vacuously pass).
+      EXPECT_GE(compared, 100u) << entry.id << " × " << nm.name;
     }
-    // Both walks together must have exercised a real slice of the product
-    // (a protocol whose walk dead-ends immediately would vacuously pass).
-    EXPECT_GE(compared, 100u) << entry.id;
   }
+  // The key-part cache must have had work: successors after the first in
+  // an epoch that left the observer or the checker unchanged.
+  EXPECT_GE(reusable, 1000u);
 }
 
 // ------------------------------------------------- empty-key regression

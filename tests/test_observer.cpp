@@ -367,26 +367,83 @@ TEST(Observer, SnapshotRestoreRoundtrip) {
 }
 
 // Over every registry protocol × model: restore() of a snapshot followed by
-// snapshot() reproduces the bytes (live-node mask and records included).
+// snapshot() reproduces the bytes (live-node mask and records included), and
+// the restored observer serializes like the original.  One observer per walk
+// takes every state in turn, as a model-checker worker does, so each restore
+// starts from the previous state's live set.
 TEST(Observer, SnapshotsRoundTripOverRegistryWalks) {
   std::size_t states = 0;
+  std::optional<Observer> copy;
   testing::for_each_registry_walk_state(
       200, 7,
       [&](const RegisteredProtocol& entry, const NamedModel& nm,
           const Product& p, std::size_t step) {
         ++states;
+        if (step == 1) copy.emplace(p.protocol(), p.observer().config());
         ByteWriter snap;
         p.observer().snapshot(snap);
-        Observer copy(p.protocol(), p.observer().config());
         ByteReader r(snap.data());
-        copy.restore(r);
+        copy->restore(r);
         EXPECT_TRUE(r.done());
         ByteWriter again;
-        copy.snapshot(again);
+        copy->snapshot(again);
         EXPECT_EQ(again.data(), snap.data())
+            << entry.id << " × " << nm.name << " step " << step;
+        ByteWriter ca, cb;
+        p.observer().serialize(ca);
+        copy->serialize(cb);
+        EXPECT_EQ(cb.data(), ca.data())
             << entry.id << " × " << nm.name << " step " << step;
       });
   EXPECT_GT(states, 27u * 20);
+}
+
+// The change certificate: over registry × model walks, every successor of
+// every walk state whose step is Ok and reports changed() == false
+// serializes to the pre-step observer's bytes and id_canon — the guarantee
+// the canonicalizer's key-part reuse stands on.  Such steps must occur, or
+// the test proves nothing.
+TEST(Observer, UnchangedStepsKeepSerializedBytes) {
+  std::size_t unchanged = 0;
+  std::vector<Transition> enabled;
+  std::vector<Symbol> symbols;
+  for (const RegisteredProtocol& entry : protocol_registry()) {
+    const std::unique_ptr<Protocol> proto = entry.make();
+    for (const NamedModel& nm : memory_model_axis()) {
+      ObserverConfig cfg;
+      cfg.model = nm.model;
+      Product cur(*proto, cfg, /*with_observer=*/true);
+      Product succ(*proto, cfg, /*with_observer=*/true);
+      Xoshiro256 rng(11);
+      for (std::size_t i = 0; i < 120; ++i) {
+        ByteWriter before;
+        std::vector<GraphId> before_ids;
+        cur.observer().serialize(before, &before_ids);
+        enabled.clear();
+        cur.enumerate(enabled);
+        if (enabled.empty()) break;
+        for (const Transition& t : enabled) {
+          succ.assign_from(cur);
+          if (succ.step(t, symbols) != StepOutcome::Ok ||
+              succ.observer().changed()) {
+            continue;
+          }
+          ++unchanged;
+          ByteWriter after;
+          std::vector<GraphId> after_ids;
+          succ.observer().serialize(after, &after_ids);
+          EXPECT_EQ(after.data(), before.data())
+              << entry.id << " × " << nm.name << " step " << i << ": "
+              << proto->action_name(t.action);
+          EXPECT_EQ(after_ids, before_ids)
+              << entry.id << " × " << nm.name << " step " << i;
+        }
+        const Transition t = enabled[rng.below(enabled.size())];
+        if (cur.step(t, symbols) != StepOutcome::Ok) break;
+      }
+    }
+  }
+  EXPECT_GT(unchanged, 1000u);
 }
 
 TEST(Observer, RestoredObserverContinuesIdentically) {
