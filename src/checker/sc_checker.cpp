@@ -163,7 +163,7 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
     // forced-edge triples can no longer form, so the loads are released.
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
       const std::int8_t j = n.pending_ld[p];
-      if (j != kNone && nodes_[j].in_use) {
+      if (j != kNone && used(j)) {
         nodes_[j].pending_for = kNone;
         if (n.sto_succ == kNone) nodes_[j].forced_target = kNone;
       }
@@ -255,7 +255,6 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
   SCV_ASSERT(s >= 0);
   Node& n = nodes_[s];
   n = Node{};
-  n.in_use = true;
   used_mask_ |= 1ULL << static_cast<std::size_t>(s);
   n.op = op;
   n.id_set = 1ULL << nd.id;
@@ -313,7 +312,7 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
                     "(constraint 5b)");
     }
     const std::int8_t old = pending_bottom_[b][p];
-    if (old != kNone && nodes_[old].in_use) {
+    if (old != kNone && used(old)) {
       nodes_[old].bottom_pending = false;  // discharged via program order
     }
     pending_bottom_[b][p] = static_cast<std::int8_t>(s);
@@ -385,7 +384,7 @@ ScChecker::Status ScChecker::check_sto_edge(std::size_t from,
   for (std::size_t p = 0; p < cfg_.procs; ++p) {
     const std::int8_t j = x.pending_ld[p];
     if (j == kNone) continue;
-    SCV_ASSERT(nodes_[j].in_use);
+    SCV_ASSERT(used(j));
     if (nodes_[j].forced_out & (1ULL << to)) {
       nodes_[j].pending_for = kNone;
       x.pending_ld[p] = kNone;
@@ -423,7 +422,7 @@ ScChecker::Status ScChecker::check_inh_edge(std::size_t from,
 
   const ProcId p = y.op.proc;
   const std::int8_t old = x.pending_ld[p];
-  if (old != kNone && nodes_[old].in_use) {
+  if (old != kNone && used(old)) {
     // Condition (ii): a program-order-later load of the same processor now
     // inherits from x, discharging the older load's obligation.
     nodes_[old].forced_target = kNone;
@@ -454,7 +453,7 @@ ScChecker::Status ScChecker::check_forced_edge(std::size_t from,
   j.forced_out |= 1ULL << to;
   if (j.forced_target == static_cast<std::int8_t>(to)) {
     j.forced_target = kNone;
-    if (j.pending_for != kNone && nodes_[j.pending_for].in_use) {
+    if (j.pending_for != kNone && used(j.pending_for)) {
       Node& x = nodes_[j.pending_for];
       if (x.pending_ld[j.op.proc] == static_cast<std::int8_t>(from)) {
         x.pending_ld[j.op.proc] = kNone;
@@ -803,7 +802,6 @@ void ScChecker::restore(ByteReader& r) {
     const int s = std::countr_zero(um);
     Node& n = nodes_[s];
     n = Node{};
-    n.in_use = true;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
     n.op.block = r.u8();
@@ -1031,7 +1029,7 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
     if (po_pending_[c]) flags |= 4;
     if (po_expected_from_[c] != kNone) flags |= 8;
     w.u8(flags);
-    if (last_op_live_[c] && nodes_[static_cast<std::size_t>(s)].in_use) {
+    if (last_op_live_[c] && used(s)) {
       const Node& n = nodes_[static_cast<std::size_t>(s)];
       w.u8(static_cast<std::uint8_t>(n.op.kind));
       w.u8(n.op.block);
@@ -1051,7 +1049,7 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
       if (st_pending_[p]) flags |= 4;
       if (st_expected_from_[p] != kNone) flags |= 8;
       w.u8(flags);
-      if (last_st_live_[p] && nodes_[static_cast<std::size_t>(s)].in_use) {
+      if (last_st_live_[p] && used(s)) {
         const Node& n = nodes_[static_cast<std::size_t>(s)];
         w.u8(n.op.block);
         w.u8(n.op.value);

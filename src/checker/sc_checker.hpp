@@ -175,7 +175,6 @@ class ScChecker {
   static constexpr std::int8_t kGone = -2;
 
   struct Node {
-    bool in_use = false;
     Operation op{};
     std::uint64_t id_set = 0;
     std::uint64_t out = 0;  ///< adjacency over slots, for cycle checking
@@ -220,11 +219,14 @@ class ScChecker {
   ModelRules rules_;
   [[nodiscard]] const ModelRules& rules() const noexcept { return rules_; }
   Node nodes_[kMaxSlots];
-  /// Bit s set <=> nodes_[s].in_use.  The graph holds a handful of live
-  /// nodes out of up to 64 slots, so the hot scans (canonical
+  /// Bit s set <=> nodes_[s] holds a live node.  The graph holds a handful
+  /// of live nodes out of up to 64 slots, so the hot scans (canonical
   /// serialization, per-processor signatures) walk this mask's set bits
   /// instead of touching all kMaxSlots Node records.
   std::uint64_t used_mask_ = 0;
+  [[nodiscard]] bool used(int s) const noexcept {
+    return ((used_mask_ >> s) & 1U) != 0;
+  }
   /// Flat ID → slot map: id_slot_[id] is the slot whose id_set holds `id`,
   /// kNone if unbound.  Every edge symbol resolves two IDs, so slot_of is
   /// the hottest lookup in the per-symbol path; the flat map makes it one

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -27,15 +28,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// A stored state's BFS tree link: its parent's state index and the index
-/// of its transition in the parent's enumerate() order (the ti of its
-/// rank).  Replay re-derives the transition by enumerating the same
-/// canonical parent, so the link stays eight bytes.
-struct Meta {
-  std::uint32_t parent = 0;
-  std::uint32_t ti = 0;
-};
 
 /// Expected distinct-state count used to pre-size the visited store and
 /// avoid rehash churn mid-run (DESIGN.md §9).  A small max_states is a
@@ -159,72 +151,21 @@ class ConcurrentStateStore {
   std::array<Stripe, kStripes> stripes_;
 };
 
-/// Chunked, append-only arena of per-state Meta records, indexed by the
-/// atomic global state counter.  Workers call slot() concurrently: chunk
-/// pointers never move once allocated, and the chunk directory grows
-/// copy-on-write under a mutex, published with release/acquire.  Retired
-/// directories are kept alive (graveyard) so a concurrent slot() still
-/// holding the old pointer dereferences valid memory; the happens-before
-/// edge through chunks_published_ guarantees it only indexes chunks that
-/// directory already contained.
-class MetaArena {
- public:
-  MetaArena() { grow_to(0); }
-
-  /// Thread-safe: returns the record for `idx`, allocating on demand.
-  Meta& slot(std::size_t idx) {
-    const std::size_t c = idx >> kChunkShift;
-    if (c >= chunks_published_.load(std::memory_order_acquire)) grow_to(c);
-    return dir_.load(std::memory_order_acquire)[c][idx & kChunkMask];
-  }
-
- private:
-  static constexpr std::size_t kChunkShift = 14;  ///< 16K entries per chunk
-  static constexpr std::size_t kChunkMask =
-      (std::size_t{1} << kChunkShift) - 1;
-
-  void grow_to(std::size_t chunk) {
-    std::lock_guard lock(mu_);
-    while (chunks_.size() <= chunk) {
-      if (chunks_.size() == dir_cap_) {
-        const std::size_t cap = std::max<std::size_t>(dir_cap_ * 2, 16);
-        auto next = std::make_unique<Meta*[]>(cap);
-        for (std::size_t i = 0; i < chunks_.size(); ++i) {
-          next[i] = chunks_[i].get();
-        }
-        dir_.store(next.get(), std::memory_order_release);
-        dirs_.push_back(std::move(next));
-        dir_cap_ = cap;
-      }
-      chunks_.push_back(
-          std::make_unique<Meta[]>(std::size_t{1} << kChunkShift));
-      dir_.load(std::memory_order_relaxed)[chunks_.size() - 1] =
-          chunks_.back().get();
-      chunks_published_.store(chunks_.size(), std::memory_order_release);
-    }
-  }
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Meta[]>> chunks_;
-  std::vector<std::unique_ptr<Meta*[]>> dirs_;  ///< last live, rest graveyard
-  std::atomic<Meta**> dir_{nullptr};
-  std::size_t dir_cap_ = 0;
-  std::atomic<std::size_t> chunks_published_{0};
-};
-
 /// One worker's slice of a BFS level as flat serialized entries:
-/// [u32 global index][preemption context, when bounded][product snapshot],
-/// delimited by an offsets array.  This is the compact frontier: a level
-/// lives as two flat buffers per worker (the one being read and the one
-/// being written) instead of a heavyweight object graph per state.  Both
-/// are page-mapped once large (util/page_alloc.hpp), so they leave the
-/// process with the run.
+/// [preemption context, when bounded][product snapshot], delimited by an
+/// offsets array.  This is the compact frontier: a level lives as two flat
+/// buffers per worker (the one being read and the one being written)
+/// instead of a heavyweight object graph per state.  Both are page-mapped
+/// once large (util/page_alloc.hpp), so they leave the process with the
+/// run.
 struct FrontierBatch {
   PageVector<std::uint8_t> bytes;
   PageVector<std::uint32_t> offsets;
 
   [[nodiscard]] std::size_t size() const noexcept { return offsets.size(); }
   void push(std::span<const std::uint8_t> e) {
+    // Offsets are 32-bit: a batch past 4 GiB would address wrapped spans.
+    SCV_EXPECTS(bytes.size() <= std::numeric_limits<std::uint32_t>::max());
     offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
     bytes.insert(bytes.end(), e.begin(), e.end());
   }
@@ -281,7 +222,6 @@ struct Failure {
   Rank rank = kNoRank;
   std::size_t item = 0;  ///< the failing entry's position in the work list
   StepOutcome outcome = StepOutcome::Ok;
-  std::uint32_t parent = 0;
   /// The entry's transitions up to and including the failing one.
   std::uint64_t expanded = 0;
 };
@@ -328,7 +268,9 @@ McVerdict failure_verdict(StepOutcome outcome) {
 //   * a compact frontier — levels live as flat serialized buffers, read
 //     through a rank-ordered index; the product is rebuilt on expansion via
 //     the component snapshot loop;
-//   * a chunked MetaArena indexed by the atomic state counter.
+//   * a state is named by its position in its level's rank order, and its
+//     parent link is its minimum rank: one link array per level, in
+//     frontier order.
 //
 // Rank order (DESIGN.md §11): every successor has a rank (phase, gi, ti),
 // see mc/level_order.hpp.  One worker (`threads == 1` runs inline on the
@@ -336,12 +278,10 @@ McVerdict failure_verdict(StepOutcome outcome) {
 // that order by construction, so a run reports the same verdict, counts and
 // counterexample at every thread count:
 //
-//   * each state's Meta (parent, ti) comes from its minimum-rank
-//     discoverer — the level barrier resolves the workers' claim and
-//     duplicate logs and rewrites Meta where another worker's claim won the
-//     race;
-//   * the next frontier is ordered by that rank (an index array over the
-//     workers' batches; snapshots are not copied);
+//   * each state's link is the rank of its minimum-rank discoverer — the
+//     level barrier resolves the workers' claim and duplicate logs;
+//   * the next frontier and its links are ordered by that rank (an index
+//     array over the workers' batches; snapshots are not copied);
 //   * the reported failure is the minimum-rank failing transition: workers
 //     keep expanding every entry ranked below the lowest failure seen so
 //     far, stop past it, and the result counts only the work ranked before
@@ -390,7 +330,7 @@ class LevelEngine {
     const auto key = w0.key.w.data();
     result_.state_bytes = key.size();
     visited_.insert(key, fingerprint128(key));
-    append_entry(frontier_[0], w0.entry_buf, 0, init, w0.succ);
+    append_entry(frontier_[0], w0.entry_buf, init, w0.succ);
   }
 
   /// Explores level by level to a verdict; empty when settle() gave the
@@ -407,6 +347,7 @@ class LevelEngine {
       std::size_t cur_bytes = order_.size() * sizeof(std::uint64_t);
       for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes.size();
       for (const auto& ws : workers_) ws->out.clear();
+      links_.emplace_back();  // the next level's
 
       run_phase(0, total);
       if (settle(0, states_before, out)) return out;
@@ -468,7 +409,6 @@ class LevelEngine {
 
     Product cur;   ///< entry being expanded (restored from the frontier)
     Product succ;  ///< successor scratch, reused across transitions
-    std::uint32_t cur_idx = 0;
     PreemptState ps;  ///< cur's scheduling context (preemption bounding)
     std::uint64_t preempt_pruned = 0;
     KeyScratch key;
@@ -529,7 +469,7 @@ class LevelEngine {
     // Phase accounting: everything between two clock reads is charged to
     // the phase that just ran (restore/enumerate/step -> expand, signature/
     // canonical-key work -> canonicalize, fingerprint/visited insert ->
-    // dedup, meta/serialize -> materialize).  Early returns are cold paths
+    // dedup, log/link/snapshot -> materialize).  Early returns are cold paths
     // and skip accounting.
     Clock::time_point mark;
     McPhaseTimes times;
@@ -538,10 +478,9 @@ class LevelEngine {
   // ---- The stages of one entry, in order.
 
   /// Restore: rebuilds frontier position `gi` into the worker's current
-  /// product, its state index and (when bounded) its scheduling context.
+  /// product and (when bounded) its scheduling context.
   void restore(Worker& ws, std::size_t gi) {
     ByteReader r(entry(gi));
-    ws.cur_idx = r.u32();
     if (preempt_) {
       ws.ps.last = r.u8();
       ws.ps.budget = r.u32();
@@ -632,24 +571,22 @@ class LevelEngine {
     return r.verdict == Insert::Fresh ? Claim::Fresh : Claim::StoreDup;
   }
 
-  /// Materialize: a fresh state gets its index and Meta link, a claim-log
-  /// entry when logging, and its snapshot in the worker's next-level batch.
-  /// False once it used up the state budget.
+  /// Materialize: a fresh state gets a claim-log entry when logging, its
+  /// link when one worker runs, and its snapshot in the worker's next-level
+  /// batch.  False once it used up the state budget.
   bool materialize(Worker& ws, Fingerprint fp, Rank rank, std::uint64_t orbit,
                    const PreemptState& ps) {
     orbit_sum_.fetch_add(orbit, std::memory_order_relaxed);
-    const std::size_t idx = states_.fetch_add(1, std::memory_order_relaxed);
-    Meta& m = meta_.slot(idx);
-    m.parent = ws.cur_idx;
-    m.ti = static_cast<std::uint32_t>(rank_ti(rank));
+    const std::size_t n = states_.fetch_add(1, std::memory_order_relaxed);
+    // One worker claims in rank order, so its batch is the next frontier
+    // and the claim rank is the state's minimum rank.
+    if (!ranked_) links_.back().push_back(rank);
     if (logging_) {
       ws.claims[rank_partition(fp, nworkers_)].push_back(
-          {fp, rank, static_cast<std::uint32_t>(ws.out.size()),
-           static_cast<std::uint32_t>(idx)});
+          {fp, rank, static_cast<std::uint32_t>(ws.out.size())});
     }
-    append_entry(ws.out, ws.entry_buf, static_cast<std::uint32_t>(idx), ps,
-                 ws.succ);
-    return idx + 1 < opt_.max_states;
+    append_entry(ws.out, ws.entry_buf, ps, ws.succ);
+    return n + 1 < opt_.max_states;
   }
 
   // ---- The stages of one level's barrier, in order.
@@ -789,30 +726,21 @@ class LevelEngine {
     return true;
   }
 
-  /// Level commit: rewrites Meta where another worker's claim beat the
-  /// minimum-rank discoverer, orders the next frontier by rank, releases the
-  /// level tables and swaps the workers' batches in as the next frontier.
+  /// Level commit: orders the next frontier and its links by minimum rank,
+  /// releases the level tables and swaps the workers' batches in as the
+  /// next frontier.  A state's snapshot stays the claimer's even where
+  /// another discoverer ranks lower: the two are key-equal.
   void commit_level(std::size_t cur_bytes) {
     if (ranked_) {
-      // The winner's rank names its parent's frontier entry (whose first four
-      // bytes are the parent's index) and its transition index.  The
-      // claimer's snapshot stays — it is key-equal.  Then order each
-      // partition by rank for the next frontier.
       const std::size_t nphases = fallbacks_.empty() ? 1 : 2;
       pool_.run_on_all([&](std::size_t p) {
         for (std::size_t ph = 0; ph < nphases; ++ph) {
-          for (const LevelShard::State& s : shards_[ph][p].states()) {
-            if (!s.contested()) continue;
-            Meta& m = meta_.slot(s.idx);
-            m.parent = ByteReader(entry(rank_gi(s.best))).u32();
-            m.ti = static_cast<std::uint32_t>(rank_ti(s.best));
-          }
           shards_[ph][p].sort_by_rank();
         }
       });
       next_order_.clear();
       for (std::size_t ph = 0; ph < nphases; ++ph) {
-        append_rank_order(shards_[ph], next_order_);
+        append_rank_order(shards_[ph], next_order_, links_.back());
       }
     }
     // The level tables are spent; release them rather than keep them beside
@@ -831,10 +759,8 @@ class LevelEngine {
       next_entries += frontier_[w].size();
       next_bytes += frontier_[w].bytes.size();
     }
-    if (ranked_) {
-      SCV_ASSERT(next_order_.size() == next_entries);
-      order_.swap(next_order_);
-    }
+    SCV_ASSERT(links_.back().size() == next_entries);
+    if (ranked_) order_.swap(next_order_);
     frontier_entries_ = next_entries;
     result_.peak_frontier = std::max(result_.peak_frontier, next_entries);
     result_.frontier_bytes =
@@ -927,7 +853,7 @@ class LevelEngine {
       ++expanded;
       if (const StepOutcome outcome = step(ws, t); outcome != StepOutcome::Ok) {
         // The failing transition counts.
-        ws.failure = {rank, k, outcome, ws.cur_idx, expanded};
+        ws.failure = {rank, k, outcome, expanded};
         Rank seen = fail_rank_.load(std::memory_order_relaxed);
         while (rank < seen &&
                !fail_rank_.compare_exchange_weak(seen, rank,
@@ -1071,17 +997,20 @@ class LevelEngine {
                    : static_cast<double>(visited_.occupied()) /
                          static_cast<double>(slots);
     LevelRun run;
-    run.result = std::move(r);
     if (f != nullptr) {
       run.failure = f->outcome;
-      // The transition indices from the initial state to the failing
-      // entry's state, then the failing transition's.
+      // The failing transition, then each ancestor's link back to the
+      // initial state: a link's gi is the parent's position one level up.
       run.path.push_back(static_cast<std::uint32_t>(rank_ti(f->rank)));
-      for (std::uint32_t i = f->parent; i != 0; i = meta_.slot(i).parent) {
-        run.path.push_back(meta_.slot(i).ti);
+      std::size_t gi = rank_gi(f->rank);
+      for (std::size_t d = r.depth; d > 0; --d) {
+        const Rank link = links_[d][gi];
+        run.path.push_back(static_cast<std::uint32_t>(rank_ti(link)));
+        gi = rank_gi(link);
       }
       std::reverse(run.path.begin(), run.path.end());
     }
+    run.result = std::move(r);
     return run;
   }
 
@@ -1090,11 +1019,11 @@ class LevelEngine {
     return frontier_[ref >> 32].entry(static_cast<std::uint32_t>(ref));
   }
 
-  /// Appends state `idx`'s entry to `b`, writing it in `scratch` first.
-  void append_entry(FrontierBatch& b, ByteWriter& scratch, std::uint32_t idx,
+  /// Appends the entry of `p` (scheduling context `ps`) to `b`, writing it
+  /// in `scratch` first.
+  void append_entry(FrontierBatch& b, ByteWriter& scratch,
                     const PreemptState& ps, const Product& p) const {
     scratch.clear();
-    scratch.u32(idx);
     if (preempt_) {
       scratch.u8(ps.last);
       scratch.u32(ps.budget);
@@ -1127,10 +1056,10 @@ class LevelEngine {
   // One worker needs no OS threads: the pool runs the task inline.
   ThreadPool pool_;
   ConcurrentStateStore visited_;
-  MetaArena meta_;
   McResult result_;
 
-  std::atomic<std::size_t> states_{1};  // the initial state
+  // Stored states, the initial one included: the budget counter.
+  std::atomic<std::size_t> states_{1};
   std::uint64_t transitions_done_ = 0;  // committed at phase barriers
   std::atomic<bool> limit_hit_{false};
   std::atomic<bool> table_full_{false};
@@ -1155,6 +1084,11 @@ class LevelEngine {
   std::vector<std::uint64_t> order_;
   std::vector<std::uint64_t> next_order_;
   std::size_t frontier_entries_ = 1;
+  // links_[d][gi]: the minimum rank of level d's state at frontier position
+  // gi, i.e. its parent's position at level d - 1 and its transition.  The
+  // initial level has no link.  One worker appends them as it claims,
+  // several at commit_level.
+  std::vector<PageVector<Rank>> links_ = std::vector<PageVector<Rank>>(1);
 
   // The running phase's work list: phase 0 expands frontier positions
   // 0..items-1, phase 1 (the C3 fallbacks) the positions in `fallbacks_`.

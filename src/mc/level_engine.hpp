@@ -6,9 +6,11 @@
 // named private member functions, in the order an entry and then a level
 // meet them: restore, enumerate (with ample selection), step, canonicalize,
 // claim (dedup), materialize; then at the level barrier resolve, decide
-// (the C3 cycle proviso), settle and commit_level.  This header declares
-// the one entry point model_check calls; counterexample replay and export
-// stay with model_check.
+// (the C3 cycle proviso), settle and commit_level.  A state is named by its
+// position in its level's rank order, and its minimum rank is its parent
+// link, so a failure's path follows those ranks back to the initial state.
+// This header declares the one entry point model_check calls;
+// counterexample replay and export stay with model_check.
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,7 @@ std::size_t LevelShard::find(Fingerprint fp) const {
 void LevelShard::add(std::uint32_t worker, const RankClaim& c) {
   const std::size_t i = find(c.fp);
   SCV_ASSERT(slots_[i] == 0);  // the store hands each state to one claimer
-  states_.push_back({c.fp, c.rank, c.rank, worker, c.pos, c.idx});
+  states_.push_back({c.fp, c.rank, worker, c.pos});
   slots_[i] = static_cast<std::uint32_t>(states_.size());
 }
 
@@ -48,11 +48,13 @@ void LevelShard::sort_by_rank() {
 }
 
 void append_rank_order(std::span<const LevelShard> shards,
-                       std::vector<std::uint64_t>& order) {
+                       std::vector<std::uint64_t>& order,
+                       PageVector<Rank>& links) {
   std::vector<std::size_t> head(shards.size(), 0);
   std::size_t total = 0;
   for (const LevelShard& s : shards) total += s.states().size();
   order.reserve(order.size() + total);
+  links.reserve(links.size() + total);
   for (std::size_t n = 0; n < total; ++n) {
     std::size_t pick = shards.size();
     for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -65,6 +67,7 @@ void append_rank_order(std::span<const LevelShard> shards,
     }
     const LevelShard::State& st = shards[pick].states()[head[pick]++];
     order.push_back((std::uint64_t{st.worker} << 32) | st.pos);
+    links.push_back(st.best);
   }
 }
 

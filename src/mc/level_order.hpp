@@ -5,15 +5,16 @@
 // Every successor generated while expanding a level gets a rank
 // (phase, gi, ti): phase 0 for the main expansion and 1 for the cycle-
 // proviso fallbacks, gi the parent's position in the level's order, ti the
-// transition's index in enumerate order.  One worker visits successors in
-// rank order, so the discoverer that claims a state in the shared store is
-// always its minimum-rank discoverer.  Several workers claim in racy order;
-// each logs its fresh claims (RankClaim) and the duplicates the shared
-// store answered (RankOffer), and at the level barrier LevelShard resolves
-// every fresh state's minimum rank.  Duplicate-cache hits need no log
-// entry: one worker's ranks only increase within a level (a grow
-// re-expansion repeats them exactly), so a hit never beats a rank that
-// worker already logged.
+// transition's index in enumerate order.  A state is named by its position
+// in the next level's order, and its minimum rank is its parent link.  One
+// worker visits successors in rank order, so the discoverer that claims a
+// state in the shared store is always its minimum-rank discoverer.  Several
+// workers claim in racy order; each logs its fresh claims (RankClaim) and
+// the duplicates the shared store answered (RankOffer), and at the level
+// barrier LevelShard resolves every fresh state's minimum rank.
+// Duplicate-cache hits need no log entry: one worker's ranks only increase
+// within a level (a grow re-expansion repeats them exactly), so a hit never
+// beats a rank that worker already logged.
 #pragma once
 
 #include <cstddef>
@@ -43,13 +44,12 @@ inline constexpr unsigned kRankTiBits = 20;
 }
 
 /// A fresh state a worker claimed in the shared store: its fingerprint, the
-/// claiming rank, the position of its snapshot in the claimer's next-level
-/// batch, and its state index.
+/// claiming rank and the position of its snapshot in the claimer's
+/// next-level batch.
 struct RankClaim {
   Fingerprint fp;
   Rank rank = kNoRank;
   std::uint32_t pos = 0;
-  std::uint32_t idx = 0;
 };
 
 /// A successor the shared store answered Duplicate: a discoverer that may
@@ -68,20 +68,15 @@ struct RankOffer {
 
 /// One partition of a level's fresh states, keyed by fingerprint.  Built
 /// from the workers' claims, lowered by their offers, then read for the
-/// cycle-proviso membership test, Meta patches, failure accounting and the
-/// next frontier's order.
+/// cycle-proviso membership test, failure accounting and the next
+/// frontier's order and links.
 class LevelShard {
  public:
   struct State {
     Fingerprint fp;
-    Rank claimed = kNoRank;  ///< rank of the claiming discoverer
-    Rank best = kNoRank;     ///< minimum rank over every logged discoverer
+    Rank best = kNoRank;  ///< minimum rank over every logged discoverer
     std::uint32_t worker = 0;
     std::uint32_t pos = 0;
-    std::uint32_t idx = 0;
-    /// The minimum-rank discoverer is not the claimer: the state's Meta
-    /// (parent, ti) must be rewritten to the winner's.
-    [[nodiscard]] bool contested() const noexcept { return best < claimed; }
   };
 
   /// Empties the shard and sizes its table for `claims` states.
@@ -111,8 +106,10 @@ class LevelShard {
 
 /// Appends the states of every shard, merged in minimum-rank order, to
 /// `order` as packed (worker << 32 | pos) references into the workers'
-/// next-level batches.  Each shard must be sorted (sort_by_rank).
+/// next-level batches, and their minimum ranks to `links`.  Each shard must
+/// be sorted (sort_by_rank).
 void append_rank_order(std::span<const LevelShard> shards,
-                       std::vector<std::uint64_t>& order);
+                       std::vector<std::uint64_t>& order,
+                       PageVector<Rank>& links);
 
 }  // namespace scv

@@ -364,8 +364,15 @@ McResult model_check(const Protocol& protocol, const McOptions& options) {
     // Sampled mode keeps the bounded-walk cost (the exhaustive skeleton
     // build would add ~hundreds of ms per model_check call on the larger
     // protocols); run lint_protocol / tools/scv_lint for definite verdicts.
+    // Only R1, R3 and R4 report errors, and the reason quotes the warning
+    // count of R2 and R5.  R6-R8 only warn, and the self-checks below decide
+    // what R6 and R7 would, so the precheck leaves them out.
     LintOptions lopt;
     lopt.mode = LintOptions::Mode::Sampled;
+    lopt.rules = kAllLintRules &
+                 ~(lint_rule_bit(LintRule::R6_ProcessorSymmetry) |
+                   lint_rule_bit(LintRule::R7_Independence) |
+                   lint_rule_bit(LintRule::R8_FootprintImprecision));
     lopt.observer = options.observer;
     const LintReport lint = lint_protocol(protocol, lopt);
     if (lint.has_errors()) {

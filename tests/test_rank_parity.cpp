@@ -70,34 +70,31 @@ TEST(RankOrder, ContestedClaimGoesToTheMinimumRankDiscoverer) {
   // Worker 1 claimed the state while expanding entry 7; worker 0 found it
   // earlier in rank order (entry 3) but reached the store second.
   const LevelShard shard =
-      resolve({{}, {{fp(1), make_rank(0, 7, 1), 0, 42}}},
+      resolve({{}, {{fp(1), make_rank(0, 7, 1), 42}}},
               {{fp(1), make_rank(0, 3, 4)}, {fp(1), make_rank(0, 9, 0)}});
   const LevelShard::State& s = state_of(shard, fp(1));
-  EXPECT_TRUE(s.contested());
   EXPECT_EQ(s.best, make_rank(0, 3, 4));
   EXPECT_EQ(s.worker, 1u);  // the snapshot stays the claimer's
-  EXPECT_EQ(s.idx, 42u);
+  EXPECT_EQ(s.pos, 42u);
 }
 
 TEST(RankOrder, PhaseOneNeverBeatsPhaseZero) {
   // A fallback expansion rediscovers a main-phase state from an earlier
   // parent position; the phase decides, not the position.
-  const LevelShard shard = resolve({{{fp(2), make_rank(0, 50, 3), 0, 7}}},
+  const LevelShard shard = resolve({{{fp(2), make_rank(0, 50, 3), 0}}},
                                    {{fp(2), make_rank(1, 0, 0)}});
   const LevelShard::State& s = state_of(shard, fp(2));
-  EXPECT_FALSE(s.contested());
   EXPECT_EQ(s.best, make_rank(0, 50, 3));
 }
 
 TEST(RankOrder, GrowReExpansionRepeatsTheClaimRank) {
   // After a mid-level grow the interrupted entry is expanded again: its
   // already-claimed successor comes back as a duplicate with the very
-  // same rank, which must not read as a contest.
+  // same rank, which leaves its minimum rank as claimed.
   const Rank r = make_rank(0, 11, 2);
   const LevelShard shard =
-      resolve({{{fp(3), r, 5, 9}}}, {{fp(3), r}, {fp(4), make_rank(0, 0, 0)}});
+      resolve({{{fp(3), r, 5}}}, {{fp(3), r}, {fp(4), make_rank(0, 0, 0)}});
   const LevelShard::State& s = state_of(shard, fp(3));
-  EXPECT_FALSE(s.contested());
   EXPECT_EQ(s.best, r);
   // Offers for states claimed at an earlier level are ignored.
   EXPECT_FALSE(shard.contains(fp(4)));
@@ -106,23 +103,35 @@ TEST(RankOrder, GrowReExpansionRepeatsTheClaimRank) {
 
 TEST(RankOrder, NextFrontierFollowsMinimumRank) {
   // Two partitions, claims in racy order; the merged order is the one a
-  // single worker would have claimed them in.
+  // single worker would have claimed them in, and each state's link is its
+  // minimum rank.  The engine appends phase 1's table after phase 0's.
   std::vector<LevelShard> shards(2);
-  shards[0] = resolve({{{fp(10), make_rank(0, 4, 0), 0, 1}},
-                       {{fp(11), make_rank(0, 1, 0), 0, 2}}},
+  shards[0] = resolve({{{fp(10), make_rank(0, 4, 0), 0}},
+                       {{fp(11), make_rank(0, 1, 0), 0}}},
                       {{fp(10), make_rank(0, 0, 2)}});
-  shards[1] = resolve({{{fp(12), make_rank(0, 2, 1), 1, 3},
-                        {fp(13), make_rank(1, 0, 0), 2, 4}}},
+  shards[1] = resolve({{{fp(12), make_rank(0, 2, 1), 1},
+                        {fp(13), make_rank(1, 0, 0), 2}}},
                       {});
+  std::vector<LevelShard> fallbacks(1);
+  fallbacks[0] = resolve({{}, {{fp(14), make_rank(1, 3, 0), 1}}},
+                         {{fp(14), make_rank(1, 2, 5)}});
   for (LevelShard& s : shards) s.sort_by_rank();
+  fallbacks[0].sort_by_rank();
   std::vector<std::uint64_t> order;
-  append_rank_order(shards, order);
+  PageVector<Rank> links;
+  append_rank_order(shards, order, links);
+  append_rank_order(fallbacks, order, links);
   const std::vector<std::uint64_t> want = {
       (std::uint64_t{0} << 32) | 0,   // fp(10), won at (0, 0, 2)
       (std::uint64_t{1} << 32) | 0,   // fp(11) at (0, 1, 0)
       (std::uint64_t{0} << 32) | 1,   // fp(12) at (0, 2, 1)
-      (std::uint64_t{0} << 32) | 2};  // fp(13), a phase-1 claim
+      (std::uint64_t{0} << 32) | 2,   // fp(13), a phase-1 claim
+      (std::uint64_t{1} << 32) | 1};  // fp(14), phase 1's table
   EXPECT_EQ(order, want);
+  const PageVector<Rank> want_links = {
+      make_rank(0, 0, 2), make_rank(0, 1, 0), make_rank(0, 2, 1),
+      make_rank(1, 0, 0), make_rank(1, 2, 5)};
+  EXPECT_EQ(links, want_links);
 }
 
 // ------------------------------------------------------ engine parity
