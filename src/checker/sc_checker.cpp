@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "checker/cycle_checker.hpp"
 #include "util/assert.hpp"
@@ -72,6 +73,44 @@ ScChecker::ScChecker(const ScCheckerConfig& config) : cfg_(config) {
       pending_bottom_[b][p] = kNone;
     }
   }
+}
+
+ScChecker& ScChecker::operator=(const ScChecker& other) {
+  if (this == &other) return *this;
+  cfg_ = other.cfg_;
+  rules_ = other.rules_;
+  // Free slots hold a default Node (retire() and restore() reset them), so
+  // resetting this checker's slots that the source has free keeps that true.
+  for (std::uint64_t gone = used_mask_ & ~other.used_mask_; gone != 0;
+       gone &= gone - 1) {
+    nodes_[std::countr_zero(gone)] = Node{};
+  }
+  for (std::uint64_t um = other.used_mask_; um != 0; um &= um - 1) {
+    const int s = std::countr_zero(um);
+    nodes_[s] = other.nodes_[s];
+  }
+  used_mask_ = other.used_mask_;
+  const auto copy = [](auto& to, const auto& from) {
+    std::memcpy(to, from, sizeof to);
+  };
+  copy(id_slot_, other.id_slot_);
+  copy(last_op_, other.last_op_);
+  copy(last_op_live_, other.last_op_live_);
+  copy(po_pending_, other.po_pending_);
+  copy(po_expected_from_, other.po_expected_from_);
+  copy(last_st_, other.last_st_);
+  copy(last_st_live_, other.last_st_live_);
+  copy(st_pending_, other.st_pending_);
+  copy(st_expected_from_, other.st_expected_from_);
+  copy(root_ref_, other.root_ref_);
+  copy(root_retired_, other.root_retired_);
+  copy(retired_no_in_, other.retired_no_in_);
+  copy(retired_no_out_, other.retired_no_out_);
+  copy(pending_bottom_, other.pending_bottom_);
+  rejected_ = other.rejected_;
+  touched_ = other.touched_;
+  reason_ = other.reason_;
+  return *this;
 }
 
 std::size_t ScChecker::active_nodes() const noexcept {

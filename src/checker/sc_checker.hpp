@@ -73,6 +73,13 @@ class ScChecker {
 
   explicit ScChecker(const ScCheckerConfig& config);
 
+  ScChecker(const ScChecker&) = default;
+  /// Copies the live slots only: slots outside used_mask_ always hold a
+  /// default Node, so the ones leaving the live set are reset and the rest
+  /// of the 64-slot array is left alone.  The model checker copies a
+  /// checker into its successor scratch before every transition.
+  ScChecker& operator=(const ScChecker& other);
+
   /// Consumes one observer symbol; once rejected, stays rejected.
   Status feed(const Symbol& sym);
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,6 +12,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "mc/frontier_batch.hpp"
 #include "mc/level_order.hpp"
 #include "util/assert.hpp"
 #include "util/concurrent_fp_set.hpp"
@@ -151,37 +151,6 @@ class ConcurrentStateStore {
   std::array<Stripe, kStripes> stripes_;
 };
 
-/// One worker's slice of a BFS level as flat serialized entries:
-/// [preemption context, when bounded][product snapshot], delimited by an
-/// offsets array.  This is the compact frontier: a level lives as two flat
-/// buffers per worker (the one being read and the one being written)
-/// instead of a heavyweight object graph per state.  Both are page-mapped
-/// once large (util/page_alloc.hpp), so they leave the process with the
-/// run.
-struct FrontierBatch {
-  PageVector<std::uint8_t> bytes;
-  PageVector<std::uint32_t> offsets;
-
-  [[nodiscard]] std::size_t size() const noexcept { return offsets.size(); }
-  void push(std::span<const std::uint8_t> e) {
-    // Offsets are 32-bit: a batch past 4 GiB would address wrapped spans.
-    SCV_EXPECTS(bytes.size() <= std::numeric_limits<std::uint32_t>::max());
-    offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
-    bytes.insert(bytes.end(), e.begin(), e.end());
-  }
-  [[nodiscard]] std::span<const std::uint8_t> entry(std::size_t i) const {
-    const std::size_t begin = offsets[i];
-    const std::size_t end =
-        i + 1 < offsets.size() ? offsets[i + 1] : bytes.size();
-    return std::span<const std::uint8_t>(bytes).subspan(begin, end - begin);
-  }
-  /// Keeps the allocations for the next level (double buffering).
-  void clear() noexcept {
-    bytes.clear();
-    offsets.clear();
-  }
-};
-
 /// Scheduling context carried per state under a bounded-preemption model
 /// (McOptions::observer's MemoryModel::preemption_bound): the processor of
 /// the last memory operation on the path (kNoLastProc before the first) and
@@ -214,6 +183,11 @@ struct PreemptState {
 /// many reduced expansions per worker.  Each sample costs ~|ample| * |T|
 /// product steps, so the cadence keeps the overhead in the low percent.
 constexpr std::uint64_t kPorSampleEvery = 4096;
+
+/// Phase accounting reads the clock in one frontier entry per this many per
+/// worker; finish() scales the sampled phase times up to the worker's
+/// measured busy time.
+constexpr std::uint64_t kPhaseSampleEvery = 16;
 
 /// A failing transition a worker met.  A worker's ranks only increase
 /// within a phase and it stops at its first failure, so this is also the
@@ -325,7 +299,7 @@ class LevelEngine {
     Worker& w0 = *workers_[0];
     const PreemptState init{PreemptState::kNoLastProc,
                             opt.observer.model.preemption_bound};
-    orbit_sum_ = w0.canon.canonicalize_key(w0.succ, w0.key);
+    w0.orbit_sum = w0.canon.canonicalize_key(w0.succ, w0.key);
     append_context(w0, init);
     const auto key = w0.key.w.data();
     result_.state_bytes = key.size();
@@ -339,13 +313,13 @@ class LevelEngine {
     std::optional<LevelRun> out;
     while (frontier_entries_ > 0) {
       if (result_.depth >= opt_.max_depth) {
-        return finish(McVerdict::StateLimit, states_.load());
+        return finish(McVerdict::StateLimit, states_.n.load());
       }
       const auto lt0 = Clock::now();
-      const std::size_t states_before = states_.load();
+      const std::size_t states_before = states_.n.load();
       const std::size_t total = frontier_entries_;
       std::size_t cur_bytes = order_.size() * sizeof(std::uint64_t);
-      for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes.size();
+      for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes();
       for (const auto& ws : workers_) ws->out.clear();
       links_.emplace_back();  // the next level's
 
@@ -353,15 +327,15 @@ class LevelEngine {
       if (settle(0, states_before, out)) return out;
       if (!fallbacks_.empty()) {
         run_phase(1, fallbacks_.size());
-        if (settle(1, states_.load(), out)) return out;
+        if (settle(1, states_.n.load(), out)) return out;
       }
       credit_decisions(total, false);
       commit_level(cur_bytes);
       result_.level_stats.push_back(
-          {total, states_.load() - states_before, seconds_since(lt0)});
+          {total, states_.n.load() - states_before, seconds_since(lt0)});
       ++result_.depth;
     }
-    return finish(McVerdict::Verified, states_.load());
+    return finish(McVerdict::Verified, states_.n.load());
   }
 
   void restart(McOptions& opt, std::string& por_note) const {
@@ -400,8 +374,10 @@ class LevelEngine {
       if (e.por_) chk.emplace(e.proto_, e.opt_.observer, true);
     }
 
-    /// Charges the time since the last charge to `acc` (McPhaseTimes).
+    /// In a sampled entry, charges the time since the last charge to `acc`
+    /// (McPhaseTimes).
     void charge(double& acc) {
+      if (!timed) return;
       const auto now = Clock::now();
       acc += std::chrono::duration<double>(now - mark).count();
       mark = now;
@@ -466,13 +442,20 @@ class LevelEngine {
     std::size_t chunk_next = 0;
     std::size_t chunk_end = 0;
     std::size_t peak_live = 0;
-    // Phase accounting: everything between two clock reads is charged to
-    // the phase that just ran (restore/enumerate/step -> expand, signature/
-    // canonical-key work -> canonicalize, fingerprint/visited insert ->
-    // dedup, log/link/snapshot -> materialize).  Early returns are cold paths
-    // and skip accounting.
+    /// Orbit sizes of the states it stored: how many concrete states the
+    /// canonical representatives cover (finish() divides by the states).
+    std::uint64_t orbit_sum = 0;
+    // Phase accounting, sampled: in one entry in kPhaseSampleEvery, the time
+    // between two clock reads is charged to the phase that just ran
+    // (restore/enumerate/step -> expand, signature/canonical-key work ->
+    // canonicalize, fingerprint/visited insert -> dedup, log/link/snapshot ->
+    // materialize).  `busy` is the worker's whole time inside expand(), two
+    // clock reads per call; finish() splits it in the sampled proportions.
+    std::uint64_t entries = 0;
+    bool timed = false;  ///< the current entry is sampled
     Clock::time_point mark;
     McPhaseTimes times;
+    double busy = 0.0;
   };
 
   // ---- The stages of one entry, in order.
@@ -576,8 +559,8 @@ class LevelEngine {
   /// batch.  False once it used up the state budget.
   bool materialize(Worker& ws, Fingerprint fp, Rank rank, std::uint64_t orbit,
                    const PreemptState& ps) {
-    orbit_sum_.fetch_add(orbit, std::memory_order_relaxed);
-    const std::size_t n = states_.fetch_add(1, std::memory_order_relaxed);
+    ws.orbit_sum += orbit;
+    const std::size_t n = states_.n.fetch_add(1, std::memory_order_relaxed);
     // One worker claims in rank order, so its batch is the next frontier
     // and the claim rank is the state's minimum rank.
     if (!ranked_) links_.back().push_back(rank);
@@ -712,7 +695,7 @@ class LevelEngine {
       return true;
     }
     transitions_done_ += f->expanded;
-    std::size_t n = states_.load();
+    std::size_t n = states_.n.load();
     if (ranked_) {
       // The states whose minimum rank precedes the failure.
       n = states_before;
@@ -757,7 +740,7 @@ class LevelEngine {
     for (std::size_t w = 0; w < nworkers_; ++w) {
       std::swap(frontier_[w], workers_[w]->out);
       next_entries += frontier_[w].size();
-      next_bytes += frontier_[w].bytes.size();
+      next_bytes += frontier_[w].bytes();
     }
     SCV_ASSERT(links_.back().size() == next_entries);
     if (ranked_) order_.swap(next_order_);
@@ -782,7 +765,12 @@ class LevelEngine {
       ws->limit_item = kNoItem;
     }
     for (;;) {
-      pool_.run_on_all([this](std::size_t w) { expand(*workers_[w]); });
+      pool_.run_on_all([this](std::size_t w) {
+        Worker& ws = *workers_[w];
+        const auto t0 = Clock::now();
+        expand(ws);
+        ws.busy += seconds_since(t0);  // what finish() splits into phases
+      });
       if (limit_hit_.load() || !table_full_.exchange(false)) return;
       visited_.grow();  // workers are quiescent between barriers
     }
@@ -791,7 +779,6 @@ class LevelEngine {
   /// One worker's share of a phase: claims chunks of the work list and
   /// expands their entries until the list runs out or the run must stop.
   void expand(Worker& ws) {
-    ws.mark = Clock::now();
     for (;;) {
       if (ws.chunk_next >= ws.chunk_end) {
         ws.chunk_next = cursor_.fetch_add(chunk_sz_, std::memory_order_relaxed);
@@ -810,6 +797,8 @@ class LevelEngine {
           fail_rank_.load(std::memory_order_relaxed)) {
         return;
       }
+      ws.timed = ws.entries++ % kPhaseSampleEvery == 0;
+      if (ws.timed) ws.mark = Clock::now();
       restore(ws, gi);
       if (!enumerate(ws) || !expand_entry(ws, k, gi)) return;
       ws.chunk_next = k + 1;
@@ -974,22 +963,20 @@ class LevelEngine {
     r.por_active = por_;
     r.preemption_bounded = preempt_;
     r.symmetry_active = workers_[0]->canon.active();
+    std::uint64_t orbit_sum = 0;
     for (const auto& ws : workers_) {
       r.peak_live_nodes = std::max(r.peak_live_nodes, ws->peak_live);
       if (opt_.symbol_stats) r.symbol_stats.merge(ws->stats.stats());
-      r.phase_times.expand += ws->times.expand;
-      r.phase_times.canonicalize += ws->times.canonicalize;
-      r.phase_times.dedup += ws->times.dedup;
-      r.phase_times.materialize += ws->times.materialize;
+      add_phase_times(r.phase_times, *ws);
       r.dup_cache_hits += ws->cache_hits;
       r.dup_cache_lookups += ws->cache_lookups;
       r.preemption_pruned += ws->preempt_pruned;
+      orbit_sum += ws->orbit_sum;
     }
-    const std::size_t stored = states_.load();
-    r.orbit_reduction =
-        stored == 0 ? 1.0
-                    : static_cast<double>(orbit_sum_.load()) /
-                          static_cast<double>(stored);
+    const std::size_t stored = states_.n.load();
+    r.orbit_reduction = stored == 0 ? 1.0
+                                    : static_cast<double>(orbit_sum) /
+                                          static_cast<double>(stored);
     r.store_bytes = visited_.memory_bytes(r.state_bytes);
     const std::size_t slots = visited_.slots();
     r.store_load_factor =
@@ -1012,6 +999,22 @@ class LevelEngine {
     }
     run.result = std::move(r);
     return run;
+  }
+
+  /// Adds worker `ws`'s busy time to `t`, split in the proportions of its
+  /// sampled phase times; all of it is expand when no entry was sampled.
+  static void add_phase_times(McPhaseTimes& t, const Worker& ws) {
+    const McPhaseTimes& s = ws.times;
+    const double sampled = s.expand + s.canonicalize + s.dedup + s.materialize;
+    if (sampled <= 0.0) {
+      t.expand += ws.busy;
+      return;
+    }
+    const double scale = ws.busy / sampled;
+    t.expand += s.expand * scale;
+    t.canonicalize += s.canonicalize * scale;
+    t.dedup += s.dedup * scale;
+    t.materialize += s.materialize * scale;
   }
 
   std::span<const std::uint8_t> entry(std::size_t gi) const {
@@ -1058,16 +1061,17 @@ class LevelEngine {
   ConcurrentStateStore visited_;
   McResult result_;
 
-  // Stored states, the initial one included: the budget counter.
-  std::atomic<std::size_t> states_{1};
+  // Stored states, the initial one included: the budget counter.  Every
+  // fresh state writes it, so it keeps a cache line to itself, away from
+  // the flags and the failure rank that workers read per transition.
+  struct alignas(64) StateCount {
+    std::atomic<std::size_t> n{1};
+  } states_;
   std::uint64_t transitions_done_ = 0;  // committed at phase barriers
   std::atomic<bool> limit_hit_{false};
   std::atomic<bool> table_full_{false};
   // Lowest failing rank met so far: workers skip everything ranked past it.
   std::atomic<Rank> fail_rank_{kNoRank};
-  // Sum of orbit sizes over stored states: how many concrete states the
-  // canonical representatives cover.  orbit_sum / states is the reduction.
-  std::atomic<std::uint64_t> orbit_sum_{0};
   // POR runtime-violation capture (sampled ample cross-validation).
   std::atomic<bool> por_violation_{false};
   std::mutex por_mu_;

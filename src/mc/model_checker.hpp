@@ -161,7 +161,10 @@ struct McLevelStat {
 /// phases can add up to more than McResult::seconds on multi-thread runs).
 /// The split answers the perf question symmetry reduction raises: how much
 /// of the per-transition budget the canonicalizer costs versus how much
-/// successor generation and frontier serialization it saves.
+/// successor generation and frontier serialization it saves.  Sampled: a
+/// worker times the phases in one frontier entry in 16, and its measured
+/// busy time (its whole time expanding entries) is split in the sampled
+/// proportions, so the four phases sum to the workers' busy time.
 struct McPhaseTimes {
   double expand = 0.0;        ///< restore + enumerate + copy + step
   double canonicalize = 0.0;  ///< orbit canonicalization (signatures + key)

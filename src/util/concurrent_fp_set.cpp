@@ -45,24 +45,30 @@ auto ConcurrentFingerprintSet::insert(Fingerprint fp) noexcept -> Insert {
 #if !defined(NDEBUG)
   WriterGuard guard(sh.writers);
 #endif
-  // Reserve occupancy before probing: successful claims keep their
-  // reservation, so at most `limit` slots are ever occupied and the probe
-  // loop below always reaches an empty slot.
-  if (sh.size.fetch_add(1, std::memory_order_relaxed) >= sh.limit) {
-    sh.size.fetch_sub(1, std::memory_order_relaxed);
-    return Insert::TableFull;
-  }
+  // Probe read-only until the fingerprint or an empty slot turns up: a
+  // duplicate writes nothing shared.  Occupancy is reserved only before
+  // claiming an empty slot, and a claim keeps its reservation, so at most
+  // `limit` slots are ever occupied and every probe reaches an empty slot.
+  bool reserved = false;
   std::size_t i = fp.hi & sh.mask;
   for (;;) {
     Slot& s = sh.slots[i];
     std::uint64_t h = s.hi.load(std::memory_order_acquire);
-    if (h == 0 &&
-        s.hi.compare_exchange_strong(h, fp.hi, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      s.lo.store(fp.lo, std::memory_order_release);
-      return Insert::Fresh;
+    if (h == 0) {
+      if (!reserved) {
+        if (sh.size.fetch_add(1, std::memory_order_relaxed) >= sh.limit) {
+          sh.size.fetch_sub(1, std::memory_order_relaxed);
+          return Insert::TableFull;
+        }
+        reserved = true;
+      }
+      if (s.hi.compare_exchange_strong(h, fp.hi, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        s.lo.store(fp.lo, std::memory_order_release);
+        return Insert::Fresh;
+      }
+      // Lost the slot; h now holds its claimant.
     }
-    // h now holds the slot's claimant (the CAS reloads it on failure).
     if (h == fp.hi) {
       // Same hi lane: the full 128-bit compare needs lo, which the claimer
       // publishes right after its CAS — spin out the tiny window.
@@ -70,7 +76,7 @@ auto ConcurrentFingerprintSet::insert(Fingerprint fp) noexcept -> Insert {
       while ((l = s.lo.load(std::memory_order_acquire)) == 0) {
       }
       if (l == fp.lo) {
-        sh.size.fetch_sub(1, std::memory_order_relaxed);
+        if (reserved) sh.size.fetch_sub(1, std::memory_order_relaxed);
         return Insert::Duplicate;
       }
     }

@@ -21,7 +21,7 @@
 //
 // The table is striped into 16 independent shards.  A monolithic table has
 // two contention hot spots under many writers: the single occupancy
-// reservation counter (every insert does an RMW on the same cache line) and
+// reservation counter (every claim does an RMW on the same cache line) and
 // probe-cluster CAS collisions.  Sharding gives each shard its own slots
 // and its own counter on its own cache line, cutting cross-core traffic to
 // 1/16th for uniformly distributed fingerprints.  The shard selector mixes
@@ -29,11 +29,17 @@
 // no single fixed lane value — an adversarial or degenerate workload — can
 // pin every fingerprint to one shard.
 //
+// An insert probes read-only first: finding its fingerprint answers
+// `Duplicate` without a shared write, which is what most of a BFS's inserts
+// are.  Only a probe that reaches an empty slot reserves occupancy, just
+// before its CAS, and a successful claim keeps the reservation.
+//
 // Capacity is fixed while concurrent inserts run.  A relaxed per-shard
 // reservation counter bounds occupancy at 7/8 of the shard so probe loops
-// always terminate; an insert that would cross the bound fails with
-// `TableFull` and the *caller* (the level-synchronized BFS) quiesces its
-// workers, calls grow() single-threaded between levels, and resumes.
+// always terminate; an insert that would claim a slot past the bound fails
+// with `TableFull` (a member of a full shard still reads `Duplicate`) and
+// the *caller* (the level-synchronized BFS) quiesces its workers, calls
+// grow() single-threaded between levels, and resumes.
 // grow() doubles exactly the shards past the 5/8 proactive-growth
 // watermark (a shard that reported TableFull sits at 7/8 and always
 // qualifies), so a skewed load grows only where it must.  See DESIGN.md §9

@@ -91,6 +91,36 @@ TEST(ConcurrentFpSet, TableFullThenGrowPreservesMembership) {
   EXPECT_EQ(set.insert(tripped), Insert::Fresh);
 }
 
+TEST(ConcurrentFpSet, DuplicateIsAnsweredAtTheOccupancyBound) {
+  // A duplicate probes without reserving occupancy, so a full shard still
+  // recognizes its members; only a claim of an empty slot hits the bound.
+  ConcurrentFingerprintSet set(0);
+  using Insert = ConcurrentFingerprintSet::Insert;
+  std::vector<Fingerprint> inserted;
+  Fingerprint tripped{};
+  for (std::uint64_t n = 0;; ++n) {
+    const Fingerprint fp = nth_fp(n);
+    const Insert r = set.insert(fp);
+    if (r == Insert::TableFull) {
+      tripped = fp;
+      break;
+    }
+    ASSERT_EQ(r, Insert::Fresh) << n;
+    inserted.push_back(fp);
+  }
+  const std::size_t size = set.size();
+  // Every member, the full shard's among them, reads Duplicate.
+  for (const Fingerprint fp : inserted) {
+    EXPECT_EQ(set.insert(fp), Insert::Duplicate);
+  }
+  EXPECT_EQ(set.size(), size);
+  EXPECT_EQ(set.insert(tripped), Insert::TableFull);
+  EXPECT_EQ(set.size(), size);
+  set.grow();
+  EXPECT_EQ(set.insert(tripped), Insert::Fresh);
+  EXPECT_EQ(set.size(), size + 1);
+}
+
 // The tentpole differential test: N threads hammer a shared key space where
 // every key is contended by several threads; a mutex-guarded
 // std::unordered_set oracle checks the final membership, and per-key atomic

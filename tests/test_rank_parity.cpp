@@ -11,13 +11,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "checker/memory_model.hpp"
 #include "mc/level_order.hpp"
 #include "mc/model_checker.hpp"
+#include "mc/product.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/msi_bus.hpp"
 #include "protocol/registry.hpp"
@@ -361,6 +366,278 @@ TEST(RankParity, FailureAndStateLimitInOneLevelRerunOnOneWorker) {
   // the worker-dependent duplicate-cache counters.
   EXPECT_EQ(r.dup_cache_lookups, one.dup_cache_lookups);
   EXPECT_EQ(r.dup_cache_hits, one.dup_cache_hits);
+}
+
+// ------------------------------------- a contested claim on the failure path
+
+/// A product step as a protocol sees it: the pre-state's protocol bytes and
+/// the action taken.
+struct StepId {
+  std::vector<std::uint8_t> state;
+  Action action;
+
+  [[nodiscard]] bool matches(std::span<const std::uint8_t> s,
+                             const Action& a) const {
+    return a == action && std::ranges::equal(s, state);
+  }
+};
+
+/// A state S on one worker's counterexample path, two levels deep or more,
+/// that a second parent also discovers, from a later chunk of the parents'
+/// level at two workers.  `hold` is a step of the worker that makes S's
+/// minimum-rank discovery, no later than that discovery in its chunk;
+/// `witness` is a step of the other worker, no earlier than its discovery
+/// of S in its chunk.  Each is the only step with its StepId up to the
+/// parents' level.
+struct Contest {
+  std::size_t level = 0;  ///< S's
+  StepId hold;
+  StepId witness;
+  std::size_t states = 0;  ///< one worker's stored states at the failure
+};
+
+/// One worker's rank-ordered BFS, redone over the unreduced product
+/// (symmetry and POR off) with exact keys, up to the first failing
+/// transition; then a contest on the path it links, if there is one.
+std::optional<Contest> find_contest(const Protocol& proto,
+                                    const ObserverConfig& cfg) {
+  using Link = std::pair<std::uint32_t, std::uint32_t>;  // (gi, ti)
+  struct Level {
+    std::vector<std::vector<std::uint8_t>> snaps;
+    std::vector<std::vector<Link>> found;  ///< discoveries in rank order
+  };
+  Product cur(proto, cfg, true);
+  Product succ(proto, cfg, true);
+  KeyScratch ks;
+  std::vector<Transition> trans;
+  std::vector<Symbol> symbols;
+  const auto snapshot = [](const Product& p) {
+    ByteWriter w;
+    p.snapshot(w);
+    const auto d = w.data();
+    return std::vector<std::uint8_t>(d.begin(), d.end());
+  };
+  const auto restore = [&](const std::vector<std::uint8_t>& snap) {
+    ByteReader r(snap);
+    cur.restore(r);
+    trans.clear();
+    cur.enumerate(trans);
+  };
+  std::vector<Level> levels(1);
+  levels[0].snaps.push_back(snapshot(cur));
+  levels[0].found.emplace_back();
+  // Key -> (level, frontier position).
+  std::unordered_map<std::string, Link> seen;
+  const auto key_of = [&](const Product& p) {
+    const auto k = p.key(ks);
+    return std::string(k.begin(), k.end());
+  };
+  seen.emplace(key_of(cur), Link{0, 0});
+  std::size_t states = 1;
+  Link failure{};
+  for (std::size_t d = 0;; ++d) {
+    levels.emplace_back();
+    bool failed = false;
+    for (std::size_t gi = 0; gi < levels[d].snaps.size() && !failed; ++gi) {
+      restore(levels[d].snaps[gi]);
+      for (std::size_t ti = 0; ti < trans.size(); ++ti) {
+        succ.assign_from(cur);
+        const Link link{static_cast<std::uint32_t>(gi),
+                        static_cast<std::uint32_t>(ti)};
+        if (succ.step(trans[ti], symbols) != StepOutcome::Ok) {
+          failure = link;
+          failed = true;
+          break;
+        }
+        Level& next = levels[d + 1];
+        const auto [it, fresh] = seen.emplace(
+            key_of(succ), Link{static_cast<std::uint32_t>(d + 1),
+                               static_cast<std::uint32_t>(next.snaps.size())});
+        if (fresh) {
+          ++states;
+          next.snaps.push_back(snapshot(succ));
+          next.found.push_back({link});
+        } else if (it->second.first == d + 1) {
+          next.found[it->second.second].push_back(link);
+        }
+      }
+    }
+    if (failed) {
+      levels.resize(d + 1);
+      break;
+    }
+    if (levels[d + 1].snaps.empty() || states > 50'000) return std::nullopt;
+  }
+  const std::size_t depth = levels.size() - 1;  // level of the failing entry
+  const auto step_key = [](std::span<const std::uint8_t> st, const Action& a) {
+    std::string k(st.begin(), st.end());
+    for (const std::uint8_t b : {static_cast<std::uint8_t>(a.kind),
+                                 static_cast<std::uint8_t>(a.op.kind),
+                                 a.op.proc, a.op.block, a.op.value,
+                                 a.internal_id, a.arg0, a.arg1}) {
+      k.push_back(static_cast<char>(b));
+    }
+    return k;
+  };
+  std::size_t gi = failure.first;
+  for (std::size_t d = depth; d >= 2; --d) {
+    const std::vector<Link>& found = levels[d].found[gi];
+    const std::size_t chunk =
+        std::clamp<std::size_t>(levels[d - 1].snaps.size() / 16, 1, 64);
+    // How often each step is taken up to level d - 1.
+    std::unordered_map<std::string, std::size_t> taken;
+    for (std::size_t e = 0; e < d; ++e) {
+      for (const auto& snap : levels[e].snaps) {
+        restore(snap);
+        for (const Transition& t : trans) {
+          ++taken[step_key(cur.protocol_state(), t.action)];
+        }
+      }
+    }
+    // The first step taken once in ranks [from, to) of level d - 1.
+    const auto unique_step = [&](Link from, Link to) -> std::optional<StepId> {
+      for (std::uint32_t g = from.first; g <= to.first; ++g) {
+        if (g >= levels[d - 1].snaps.size()) break;
+        restore(levels[d - 1].snaps[g]);
+        for (std::uint32_t t = g == from.first ? from.second : 0;
+             t < trans.size() && (g < to.first || t < to.second); ++t) {
+          const auto st = cur.protocol_state();
+          if (taken[step_key(st, trans[t].action)] == 1) {
+            return StepId{{st.begin(), st.end()}, trans[t].action};
+          }
+        }
+      }
+      return std::nullopt;
+    };
+    for (std::size_t i = 1; i < found.size(); ++i) {
+      const std::uint32_t c0 = found[0].first / chunk;
+      const std::uint32_t ci = found[i].first / chunk;
+      if (ci == c0) continue;
+      const auto hold = unique_step({static_cast<std::uint32_t>(c0 * chunk), 0},
+                                    {found[0].first, found[0].second + 1});
+      const auto witness = unique_step(
+          found[i], {static_cast<std::uint32_t>((ci + 1) * chunk), 0});
+      if (hold && witness) return Contest{d, *hold, *witness, states};
+    }
+    gi = found[0].first;
+  }
+  return std::nullopt;
+}
+
+/// A registry protocol forwarding the hooks an unreduced product run uses,
+/// except that the pool thread about to make the contest's hold step is
+/// held until no other thread has stepped for 300 ms.  contested() says
+/// whether another thread had made its witness step by then.
+class ContestedStep final : public Protocol {
+ public:
+  ContestedStep(std::unique_ptr<Protocol> inner, Contest contest)
+      : inner_(std::move(inner)), contest_(std::move(contest)) {}
+
+  [[nodiscard]] bool held() const { return held_.load(); }
+  [[nodiscard]] bool contested() const { return contested_.load(); }
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] const Params& params() const override {
+    return inner_->params();
+  }
+  [[nodiscard]] std::size_t state_size() const override {
+    return inner_->state_size();
+  }
+  void initial_state(std::span<std::uint8_t> state) const override {
+    inner_->initial_state(state);
+  }
+  void enumerate(std::span<const std::uint8_t> state,
+                 std::vector<Transition>& out) const override {
+    inner_->enumerate(state, out);
+  }
+  void apply(std::span<std::uint8_t> state,
+             const Transition& t) const override {
+    if (std::this_thread::get_id() != owner_) {
+      if (contest_.witness.matches(state, t.action)) witnessed_.store(true);
+      if (contest_.hold.matches(state, t.action) && !held_.exchange(true)) {
+        hold();
+        contested_.store(witnessed_.load());
+      }
+      last_ns_.store(now_ns(), std::memory_order_relaxed);
+    }
+    inner_->apply(state, t);
+  }
+  [[nodiscard]] bool real_time_st_order() const override {
+    return inner_->real_time_st_order();
+  }
+  [[nodiscard]] bool real_time_st_order(const MemoryModel& m) const override {
+    return inner_->real_time_st_order(m);
+  }
+  [[nodiscard]] bool could_load_bottom(std::span<const std::uint8_t> state,
+                                       BlockId b) const override {
+    return inner_->could_load_bottom(state, b);
+  }
+  [[nodiscard]] std::string action_name(const Action& a) const override {
+    return inner_->action_name(a);
+  }
+  void transition_effects(const Transition& t,
+                          TransitionEffects& out) const override {
+    inner_->transition_effects(t, out);
+  }
+
+ private:
+  static std::int64_t now_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  void hold() const {
+    last_ns_.store(now_ns(), std::memory_order_relaxed);
+    while (now_ns() - last_ns_.load(std::memory_order_relaxed) <
+           300'000'000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
+  std::unique_ptr<Protocol> inner_;
+  Contest contest_;
+  std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::atomic<bool> held_{false};
+  mutable std::atomic<bool> witnessed_{false};
+  mutable std::atomic<bool> contested_{false};
+  mutable std::atomic<std::int64_t> last_ns_{0};
+};
+
+TEST(RankParity, ContestedClaimOnTheCounterexamplePathKeepsTheMinimumRank) {
+  // A state on the counterexample path is claimed from a higher rank while
+  // the worker holding its minimum-rank discovery waits, so the barrier
+  // must link it by the offered minimum rank, not by the claim: the trace
+  // then equals one worker's.
+  // write_buffer_fwd under sc: a three-level path whose last state is
+  // found from two chunks of level 2.
+  const auto inner = make_registered_protocol("write_buffer_fwd");
+  ASSERT_NE(inner, nullptr);
+  const ObserverConfig cfg;
+  const std::optional<Contest> contest = find_contest(*inner, cfg);
+  ASSERT_TRUE(contest.has_value());
+  ContestedStep proto(make_registered_protocol("write_buffer_fwd"), *contest);
+  McOptions opt;
+  opt.observer = cfg;
+  opt.symmetry_reduction = false;
+  opt.partial_order_reduction = false;
+  opt.record_counterexample = true;
+  // Presized, so no level aborts for growth while a worker is held.
+  opt.max_states = 4 * contest->states;
+  const McResult one = model_check(proto, opt);
+  ASSERT_EQ(one.verdict, McVerdict::Violation) << one.summary();
+  // The search above modelled this run: same states, the contest on its
+  // path.
+  ASSERT_EQ(one.states, contest->states);
+  ASSERT_GE(one.depth, contest->level);
+  McOptions two = opt;
+  two.threads = 2;
+  const McResult r = model_check(proto, two);
+  EXPECT_TRUE(proto.held());
+  EXPECT_TRUE(proto.contested());
+  EXPECT_EQ(r.verdict, one.verdict);
+  EXPECT_EQ(r.depth, one.depth);
+  EXPECT_EQ(trace_bytes(r), trace_bytes(one));
+  expect_same(one, r, "two workers, contested claim on the path");
 }
 
 }  // namespace

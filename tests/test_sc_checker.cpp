@@ -447,6 +447,58 @@ TEST(ScChecker, SnapshotsRoundTripOverRegistryWalks) {
   EXPECT_GT(states, 27u * 20);
 }
 
+// The live-slot copy assignment over every checker state the registry
+// walks reach: one checker, last holding some other state (another cell's,
+// under another config, at first the Figure 3 stream's), is assigned each
+// walk state's checker.  It serializes like its source, raw and canonical,
+// and judges the state's next step like a copy constructed from it.
+TEST(ScChecker, CopyAssignmentOverRegistryWalksMatchesSource) {
+  ScChecker held = make_checker();
+  ASSERT_EQ(feed_all(held, fig3_stream()), Status::Ok);
+  std::vector<Transition> enabled;
+  std::vector<Symbol> symbols;
+  std::vector<GraphId> ids;
+  std::size_t fed = 0;
+  testing::for_each_registry_walk_state(
+      200, 7,
+      [&](const RegisteredProtocol& entry, const NamedModel& nm,
+          const Product& p, std::size_t step) {
+        const std::string where = entry.id + " × " + std::string(nm.name) +
+                                  " step " + std::to_string(step);
+        const ScChecker& src = p.checker();
+        held = src;
+        ByteWriter want;
+        ByteWriter got;
+        src.serialize(want);
+        held.serialize(got);
+        EXPECT_EQ(got.data(), want.data()) << where;
+        ByteWriter obs;
+        p.observer().serialize(obs, &ids);
+        want.clear();
+        got.clear();
+        src.serialize_canonical(want, ids);
+        held.serialize_canonical(got, ids);
+        EXPECT_EQ(got.data(), want.data()) << where;
+        // The next step: the state's first enabled transition, stepped in a
+        // scratch product for its symbols.
+        Product next(p.protocol(), p.observer().config(), true);
+        next.assign_from(p);
+        enabled.clear();
+        next.enumerate(enabled);
+        if (enabled.empty()) return;
+        (void)next.step(enabled.front(), symbols);
+        ScChecker copy = src;
+        EXPECT_EQ(held.feed_batch(symbols), copy.feed_batch(symbols)) << where;
+        want.clear();
+        got.clear();
+        copy.serialize(want);
+        held.serialize(got);
+        EXPECT_EQ(got.data(), want.data()) << where;
+        ++fed;
+      });
+  EXPECT_GT(fed, 27u * 20);
+}
+
 // Seeded mutation of the validating restore: bit flips, byte sets,
 // truncations and extensions of real snapshots.  Every mutant either gets
 // a diagnostic (and leaves the checker untouched) or restores to a checker

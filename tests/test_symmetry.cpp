@@ -327,6 +327,20 @@ TEST(Symmetry, PhaseTimesCoverExploration) {
   // Single-threaded: the phases partition the expansion loop, so their sum
   // cannot exceed the total wall clock.
   EXPECT_LE(phases, r.seconds);
+
+  // Two workers: the phases split both workers' busy time, sampled entries
+  // or not, so each is positive and together they fit in 2 × the wall.
+  McOptions two = with_symmetry(true);
+  two.threads = 2;
+  const McResult r2 = model_check(proto, two);
+  ASSERT_EQ(r2.verdict, McVerdict::Verified);
+  const McPhaseTimes& t = r2.phase_times;
+  EXPECT_GT(t.expand, 0.0);
+  EXPECT_GT(t.canonicalize, 0.0);
+  EXPECT_GT(t.dedup, 0.0);
+  EXPECT_GT(t.materialize, 0.0);
+  EXPECT_LE(t.expand + t.canonicalize + t.dedup + t.materialize,
+            2 * r2.seconds);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
     python3 tools/perf_pairs.py --parent DIR --change DIR [--workload NAME]
                                 [--pairs N] [--seed S] [--seconds S] [--small]
+                                [--trace]
 
 DIR is the root of a checkout (the one holding BENCHMARK.json and
 perfbench/).  For each workload (every one in the change's BENCHMARK.json
@@ -10,7 +11,9 @@ unless --workload names some), runs the benchmark command N times in each
 checkout, alternating which side runs first in each pair, then prints, for
 every end-to-end metric, each side's median [q1, q3], the number of pairs
 in which the change was better in the metric's "better" direction, and each
-side's failed/attempted operations.  Exit status 1 if any run reported a
+side's failed/attempted operations.  With --trace the runs are traced
+(--trace 1) and the table lists every per_layer metric of BENCHMARK.json
+that the workload reports instead.  Exit status 1 if any run reported a
 failed operation, 2 if a run gave no result.
 
 perfbench timings move with the length of the checkout's path (it shifts
@@ -35,7 +38,8 @@ def quantile(values, q):
 
 def run_once(root, command, workload, args):
     cmd = list(command) + ["--workload", workload, "--seed", str(args.seed),
-                           "--seconds", str(args.seconds), "--trace", "0"]
+                           "--seconds", str(args.seconds),
+                           "--trace", "1" if args.trace else "0"]
     if args.small:
         cmd.append("--small")
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
@@ -52,11 +56,14 @@ def run_once(root, command, workload, args):
 
 def report(workload, metrics, results):
     print(workload)
-    row = "  %-22s %-40s %-40s %s"
+    row = "  %-30s %-40s %-40s %s"
     print(row % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
                  "change better"))
     for m in metrics:
         name = m["name"]
+        if any(name not in r["metrics"] for side in results
+               for r in results[side]):
+            continue  # not a metric of this workload
         cells = []
         for side in ("parent", "change"):
             vs = [r["metrics"][name]["value"] for r in results[side]]
@@ -85,6 +92,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--small", action="store_true")
+    ap.add_argument("--trace", action="store_true",
+                    help="traced runs; report the per_layer metrics")
     args = ap.parse_args()
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -99,9 +108,9 @@ def main():
         print("perf_pairs: warning: checkout paths differ in length (%d vs "
               "%d); timings can move with path length" %
               (len(roots["parent"]), len(roots["change"])), file=sys.stderr)
-    print("perf_pairs: parent %s, change %s, %d pairs, seed %d, %g s" %
+    print("perf_pairs: parent %s, change %s, %d pairs, seed %d, %g s%s" %
           (roots["parent"], roots["change"], args.pairs, args.seed,
-           args.seconds))
+           args.seconds, ", traced" if args.trace else ""))
     ok = True
     for workload in workloads:
         results = {"parent": [], "change": []}
@@ -114,7 +123,8 @@ def main():
                     return 2
                 results[side].append(r)
                 ok = ok and r["failed"] == 0
-        report(workload, spec["end_to_end"], results)
+        report(workload, spec["per_layer" if args.trace else "end_to_end"],
+               results)
     return 0 if ok else 1
 
 
