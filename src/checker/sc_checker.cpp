@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "checker/cycle_checker.hpp"
 #include "util/assert.hpp"
@@ -51,26 +50,26 @@ ScChecker::ScChecker(const ScCheckerConfig& config) : cfg_(config) {
     std::abort();
   }
   rules_ = cfg_.model.rules();
-  for (std::size_t i = 0; i < kMaxSlots; ++i) id_slot_[i] = kNone;
+  for (std::size_t i = 0; i < kMaxSlots; ++i) book_.id_slot[i] = kNone;
   for (std::size_t c = 0; c < kMaxChains; ++c) {
-    last_op_[c] = kNone;
-    last_op_live_[c] = false;
-    po_pending_[c] = false;
-    po_expected_from_[c] = kNone;
+    book_.last_op[c] = kNone;
+    book_.last_op_live[c] = false;
+    book_.po_pending[c] = false;
+    book_.po_expected_from[c] = kNone;
   }
   for (std::size_t p = 0; p < kMaxProcs; ++p) {
-    last_st_[p] = kNone;
-    last_st_live_[p] = false;
-    st_pending_[p] = false;
-    st_expected_from_[p] = kNone;
+    book_.last_st[p] = kNone;
+    book_.last_st_live[p] = false;
+    book_.st_pending[p] = false;
+    book_.st_expected_from[p] = kNone;
   }
   for (std::size_t b = 0; b < kMaxBlocks; ++b) {
-    root_ref_[b] = kNone;
-    root_retired_[b] = false;
-    retired_no_in_[b] = 0;
-    retired_no_out_[b] = 0;
+    book_.root_ref[b] = kNone;
+    book_.root_retired[b] = false;
+    book_.retired_no_in[b] = 0;
+    book_.retired_no_out[b] = 0;
     for (std::size_t p = 0; p < kMaxProcs; ++p) {
-      pending_bottom_[b][p] = kNone;
+      book_.pending_bottom[b][p] = kNone;
     }
   }
 }
@@ -90,25 +89,7 @@ ScChecker& ScChecker::operator=(const ScChecker& other) {
     nodes_[s] = other.nodes_[s];
   }
   used_mask_ = other.used_mask_;
-  const auto copy = [](auto& to, const auto& from) {
-    std::memcpy(to, from, sizeof to);
-  };
-  copy(id_slot_, other.id_slot_);
-  copy(last_op_, other.last_op_);
-  copy(last_op_live_, other.last_op_live_);
-  copy(po_pending_, other.po_pending_);
-  copy(po_expected_from_, other.po_expected_from_);
-  copy(last_st_, other.last_st_);
-  copy(last_st_live_, other.last_st_live_);
-  copy(st_pending_, other.st_pending_);
-  copy(st_expected_from_, other.st_expected_from_);
-  copy(root_ref_, other.root_ref_);
-  copy(root_retired_, other.root_retired_);
-  copy(retired_no_in_, other.retired_no_in_);
-  copy(retired_no_out_, other.retired_no_out_);
-  copy(pending_bottom_, other.pending_bottom_);
-  rejected_ = other.rejected_;
-  touched_ = other.touched_;
+  book_ = other.book_;
   reason_ = other.reason_;
   return *this;
 }
@@ -118,8 +99,8 @@ std::size_t ScChecker::active_nodes() const noexcept {
 }
 
 ScChecker::Status ScChecker::reject(std::string reason) {
-  if (!rejected_) {
-    rejected_ = true;
+  if (!book_.rejected) {
+    book_.rejected = true;
     reason_ = std::move(reason);
   }
   return Status::Reject;
@@ -127,7 +108,7 @@ ScChecker::Status ScChecker::reject(std::string reason) {
 
 int ScChecker::slot_of(GraphId id) const {
   SCV_ASSERT(static_cast<std::size_t>(id) < kMaxSlots);
-  return id_slot_[id];
+  return book_.id_slot[id];
 }
 
 int ScChecker::alloc_slot() {
@@ -175,26 +156,26 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
   } else {
     const BlockId b = n.op.block;
     if (!n.sto_in) {
-      if (root_ref_[b] == slot) {
-        root_retired_[b] = true;
-        root_ref_[b] = kNone;
-      } else if (root_ref_[b] != kNone) {
+      if (book_.root_ref[b] == slot) {
+        book_.root_retired[b] = true;
+        book_.root_ref[b] = kNone;
+      } else if (book_.root_ref[b] != kNone) {
         return reject("two stores with no incoming ST order edge "
                       "(constraint 3)");
-      } else if (++retired_no_in_[b] >= 2) {
+      } else if (++book_.retired_no_in[b] >= 2) {
         return reject("two stores retired with no incoming ST order edge "
                       "(constraint 3)");
       }
       // A store retiring as the (candidate) first of its block strands any
       // outstanding ⊥-load obligations for that block.
       for (std::size_t p = 0; p < cfg_.procs; ++p) {
-        if (pending_bottom_[b][p] != kNone) {
+        if (book_.pending_bottom[b][p] != kNone) {
           return reject("first store of a block retired while a bottom-load "
                         "still owes it a forced edge (constraint 5b)");
         }
       }
     }
-    if (!n.sto_out && ++retired_no_out_[b] >= 2) {
+    if (!n.sto_out && ++book_.retired_no_out[b] >= 2) {
       return reject("two stores retired with no outgoing ST order edge "
                     "(constraint 3)");
     }
@@ -212,24 +193,24 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
   // --- Program order: the retiring node may be awaiting its po edge.
   {
     const std::size_t c = chain_of(n.op);
-    if (po_pending_[c] &&
-        (po_expected_from_[c] == slot || last_op_[c] == slot)) {
+    if (book_.po_pending[c] &&
+        (book_.po_expected_from[c] == slot || book_.last_op[c] == slot)) {
       return reject("operation retired before its program order edge was "
                     "emitted (constraint 2)");
     }
-    if (last_op_[c] == slot) last_op_live_[c] = false;
+    if (book_.last_op[c] == slot) book_.last_op_live[c] = false;
   }
 
   // --- Store chain (TSO): a store awaiting its store-order edge — on
   // either end — must stay live until the edge is emitted.
   if (rules().store_chain && n.op.is_store()) {
     const ProcId p = n.op.proc;
-    if (st_pending_[p] &&
-        (st_expected_from_[p] == slot || last_st_[p] == slot)) {
+    if (book_.st_pending[p] &&
+        (book_.st_expected_from[p] == slot || book_.last_st[p] == slot)) {
       return reject("store retired before its store order edge was emitted "
                     "(store chain)");
     }
-    if (last_st_[p] == slot) last_st_live_[p] = false;
+    if (book_.last_st[p] == slot) book_.last_st_live[p] = false;
   }
 
   // --- Scrub references to this slot from the remaining nodes.
@@ -258,7 +239,7 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
 
   used_mask_ &= ~self;
   for (std::uint64_t ids = n.id_set; ids != 0; ids &= ids - 1) {
-    id_slot_[std::countr_zero(ids)] = kNone;
+    book_.id_slot[std::countr_zero(ids)] = kNone;
   }
   n = Node{};
   return Status::Ok;
@@ -272,7 +253,7 @@ void ScChecker::unbind_id(GraphId id) {
     (void)retire(static_cast<std::size_t>(s));
   } else {
     nodes_[s].id_set &= ~bit;
-    id_slot_[id] = kNone;
+    book_.id_slot[id] = kNone;
   }
 }
 
@@ -288,7 +269,7 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
   }
 
   unbind_id(nd.id);
-  if (rejected_) return Status::Reject;
+  if (book_.rejected) return Status::Reject;
 
   const int s = alloc_slot();
   SCV_ASSERT(s >= 0);
@@ -297,34 +278,34 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
   used_mask_ |= 1ULL << static_cast<std::size_t>(s);
   n.op = op;
   n.id_set = 1ULL << nd.id;
-  id_slot_[nd.id] = static_cast<std::int8_t>(s);
+  book_.id_slot[nd.id] = static_cast<std::int8_t>(s);
   mark_touched(op.proc);  // new chain head + node count
 
   const std::size_t c = chain_of(op);
-  if (po_pending_[c]) {
+  if (book_.po_pending[c]) {
     return reject("new operation before the previous program order edge was "
                   "emitted (prompt-descriptor discipline)");
   }
-  if (last_op_[c] != kNone) {
-    if (!last_op_live_[c]) {
+  if (book_.last_op[c] != kNone) {
+    if (!book_.last_op_live[c]) {
       return reject("program order predecessor retired before its successor "
                     "arrived (constraint 2)");
     }
-    po_pending_[c] = true;
-    po_expected_from_[c] = last_op_[c];
+    book_.po_pending[c] = true;
+    book_.po_expected_from[c] = book_.last_op[c];
   }
-  last_op_[c] = static_cast<std::int8_t>(s);
-  last_op_live_[c] = true;
+  book_.last_op[c] = static_cast<std::int8_t>(s);
+  book_.last_op_live[c] = true;
 
   if (rules().store_chain && op.is_store()) {
     const ProcId p = op.proc;
-    if (st_pending_[p]) {
+    if (book_.st_pending[p]) {
       return reject("new store before the previous store order edge was "
                     "emitted (prompt-descriptor discipline)");
     }
-    const std::int8_t prev_st = last_st_[p];
+    const std::int8_t prev_st = book_.last_st[p];
     if (prev_st != kNone) {
-      if (!last_st_live_[p]) {
+      if (!book_.last_st_live[p]) {
         return reject("store order predecessor retired before its successor "
                       "arrived (store chain)");
       }
@@ -333,28 +314,28 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
       // (and it is structural — only ST→LD is relaxed); otherwise a
       // dedicated store-chain edge is now owed.
       const bool covered =
-          po_pending_[c] && po_expected_from_[c] == prev_st;
+          book_.po_pending[c] && book_.po_expected_from[c] == prev_st;
       if (!covered) {
-        st_pending_[p] = true;
-        st_expected_from_[p] = prev_st;
+        book_.st_pending[p] = true;
+        book_.st_expected_from[p] = prev_st;
       }
     }
-    last_st_[p] = static_cast<std::int8_t>(s);
-    last_st_live_[p] = true;
+    book_.last_st[p] = static_cast<std::int8_t>(s);
+    book_.last_st_live[p] = true;
   }
 
   if (op.is_load() && op.value == kBottom) {
     const BlockId b = op.block;
     const ProcId p = op.proc;
-    if (root_retired_[b] || retired_no_in_[b] > 0) {
+    if (book_.root_retired[b] || book_.retired_no_in[b] > 0) {
       return reject("bottom-load after the first store of its block retired "
                     "(constraint 5b)");
     }
-    const std::int8_t old = pending_bottom_[b][p];
+    const std::int8_t old = book_.pending_bottom[b][p];
     if (old != kNone && used(old)) {
       nodes_[old].bottom_pending = false;  // discharged via program order
     }
-    pending_bottom_[b][p] = static_cast<std::int8_t>(s);
+    book_.pending_bottom[b][p] = static_cast<std::int8_t>(s);
     n.bottom_pending = true;
   }
   return Status::Ok;
@@ -367,16 +348,16 @@ ScChecker::Status ScChecker::check_po_edge(std::size_t from, std::size_t to) {
                       ? "program order edge across (processor, block) chains"
                       : "program order edge between different processors");
   }
-  if (po_pending_[c] &&
-      po_expected_from_[c] == static_cast<std::int8_t>(from) &&
-      last_op_[c] == static_cast<std::int8_t>(to)) {
+  if (book_.po_pending[c] &&
+      book_.po_expected_from[c] == static_cast<std::int8_t>(from) &&
+      book_.last_op[c] == static_cast<std::int8_t>(to)) {
     if (nodes_[from].po_out || nodes_[to].po_in) {
       return reject("duplicate program order edge (constraint 2)");
     }
     nodes_[from].po_out = true;
     nodes_[to].po_in = true;
-    po_pending_[c] = false;
-    po_expected_from_[c] = kNone;
+    book_.po_pending[c] = false;
+    book_.po_expected_from[c] = kNone;
     mark_touched(nodes_[to].op.proc);  // chain flags discharged
     return Status::Ok;
   }
@@ -387,11 +368,11 @@ ScChecker::Status ScChecker::check_po_edge(std::size_t from, std::size_t to) {
   // its store-chain edge never read as duplicates of each other.
   if (rules().store_chain) {
     const ProcId p = nodes_[to].op.proc;
-    if (st_pending_[p] &&
-        st_expected_from_[p] == static_cast<std::int8_t>(from) &&
-        last_st_[p] == static_cast<std::int8_t>(to)) {
-      st_pending_[p] = false;
-      st_expected_from_[p] = kNone;
+    if (book_.st_pending[p] &&
+        book_.st_expected_from[p] == static_cast<std::int8_t>(from) &&
+        book_.last_st[p] == static_cast<std::int8_t>(to)) {
+      book_.st_pending[p] = false;
+      book_.st_expected_from[p] = kNone;
       mark_touched(p);  // store-chain flags discharged
       return Status::Ok;
     }
@@ -411,7 +392,7 @@ ScChecker::Status ScChecker::check_sto_edge(std::size_t from,
   if (x.sto_out) return reject("two outgoing ST order edges (constraint 3)");
   if (k.sto_in) return reject("two incoming ST order edges (constraint 3)");
   const BlockId b = x.op.block;
-  if (root_ref_[b] == static_cast<std::int8_t>(to)) {
+  if (book_.root_ref[b] == static_cast<std::int8_t>(to)) {
     return reject("store pinned as first in ST order gained a predecessor "
                   "(constraint 5b)");
   }
@@ -506,18 +487,18 @@ ScChecker::Status ScChecker::check_forced_edge(std::size_t from,
       return reject("bottom-load forced edge targets a store that is not "
                     "first in ST order (constraint 5b)");
     }
-    if (root_ref_[b] == kNone) {
-      if (retired_no_in_[b] > 0) {
+    if (book_.root_ref[b] == kNone) {
+      if (book_.retired_no_in[b] > 0) {
         return reject("bottom-load forced edge cannot target the first "
                       "store: it already retired (constraint 5b)");
       }
-      root_ref_[b] = static_cast<std::int8_t>(to);
-    } else if (root_ref_[b] != static_cast<std::int8_t>(to)) {
+      book_.root_ref[b] = static_cast<std::int8_t>(to);
+    } else if (book_.root_ref[b] != static_cast<std::int8_t>(to)) {
       return reject("two different stores claimed as first in ST order "
                     "(constraint 5b)");
     }
-    if (pending_bottom_[b][j.op.proc] == static_cast<std::int8_t>(from)) {
-      pending_bottom_[b][j.op.proc] = kNone;
+    if (book_.pending_bottom[b][j.op.proc] == static_cast<std::int8_t>(from)) {
+      book_.pending_bottom[b][j.op.proc] = kNone;
       mark_touched(j.op.proc);  // pending-⊥ anchor discharged
     }
     j.bottom_pending = false;
@@ -570,7 +551,7 @@ ScChecker::Status ScChecker::on_edge(const EdgeDesc& e) {
 }
 
 ScChecker::Status ScChecker::feed(const Symbol& sym) {
-  if (rejected_) return Status::Reject;
+  if (book_.rejected) return Status::Reject;
 
   const auto valid_id = [this](GraphId id) {
     return id >= 1 && static_cast<std::size_t>(id) <= cfg_.k + 1;
@@ -592,10 +573,10 @@ ScChecker::Status ScChecker::feed(const Symbol& sym) {
       return reject("add-ID references an ID not bound to any node");
     }
     unbind_id(a->added);
-    if (rejected_) return Status::Reject;
+    if (book_.rejected) return Status::Reject;
     if (s >= 0) {
       nodes_[s].id_set |= 1ULL << a->added;
-      id_slot_[a->added] = static_cast<std::int8_t>(s);
+      book_.id_slot[a->added] = static_cast<std::int8_t>(s);
     }
     return Status::Ok;
   }
@@ -607,7 +588,7 @@ ScChecker::Status ScChecker::feed(const Symbol& sym) {
 }
 
 ScChecker::Status ScChecker::feed_batch(std::span<const Symbol> syms) {
-  if (rejected_) return Status::Reject;
+  if (book_.rejected) return Status::Reject;
   for (const Symbol& sym : syms) {
     if (feed(sym) == Status::Reject) return Status::Reject;
   }
@@ -676,30 +657,30 @@ void ScChecker::serialize_canonical(ByteWriter& w,
                        kMaxBlocks * (3 + 2 * kMaxProcs) + 2 +
                        kMaxSlots * (25 + 2 * kMaxProcs)];
   ScratchWriter sw(scratch, sizeof scratch);
-  sw.u8(rejected_ ? 1 : 0);
+  sw.u8(book_.rejected ? 1 : 0);
   for (std::size_t c = 0; c < chain_count(); ++c) {
     const std::size_t sc = src_chain(c);
-    sw.uvar(enc(last_op_[sc]));
-    sw.u8(static_cast<std::uint8_t>((last_op_live_[sc] ? 1 : 0) |
-                                    (po_pending_[sc] ? 2 : 0)));
-    sw.uvar(enc(po_expected_from_[sc]));
+    sw.uvar(enc(book_.last_op[sc]));
+    sw.u8(static_cast<std::uint8_t>((book_.last_op_live[sc] ? 1 : 0) |
+                                    (book_.po_pending[sc] ? 2 : 0)));
+    sw.uvar(enc(book_.po_expected_from[sc]));
   }
   if (rules().store_chain) {  // emitted only under TSO: SC stays byte-stable
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
       const std::size_t sp = src_proc(p);
-      sw.uvar(enc(last_st_[sp]));
-      sw.u8(static_cast<std::uint8_t>((last_st_live_[sp] ? 1 : 0) |
-                                      (st_pending_[sp] ? 2 : 0)));
-      sw.uvar(enc(st_expected_from_[sp]));
+      sw.uvar(enc(book_.last_st[sp]));
+      sw.u8(static_cast<std::uint8_t>((book_.last_st_live[sp] ? 1 : 0) |
+                                      (book_.st_pending[sp] ? 2 : 0)));
+      sw.uvar(enc(book_.st_expected_from[sp]));
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    sw.uvar(enc(root_ref_[b]));
-    sw.u8(static_cast<std::uint8_t>((root_retired_[b] ? 1 : 0) |
-                                    (retired_no_in_[b] << 1) |
-                                    (retired_no_out_[b] << 3)));
+    sw.uvar(enc(book_.root_ref[b]));
+    sw.u8(static_cast<std::uint8_t>((book_.root_retired[b] ? 1 : 0) |
+                                    (book_.retired_no_in[b] << 1) |
+                                    (book_.retired_no_out[b] << 3)));
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      sw.uvar(enc(pending_bottom_[b][src_proc(p)]));
+      sw.uvar(enc(book_.pending_bottom[b][src_proc(p)]));
     }
   }
   sw.uvar(count);
@@ -748,28 +729,28 @@ void ScChecker::serialize(ByteWriter& w) const {
                        kMaxBlocks * (2 + kMaxProcs) + 10 +
                        kMaxSlots * (39 + kMaxProcs)];
   ScratchWriter sw(scratch, sizeof scratch);
-  sw.u8(rejected_ ? 1 : 0);
+  sw.u8(book_.rejected ? 1 : 0);
   for (std::size_t c = 0; c < chain_count(); ++c) {
-    sw.u8(static_cast<std::uint8_t>(last_op_[c]));
-    sw.u8(static_cast<std::uint8_t>((last_op_live_[c] ? 1 : 0) |
-                                    (po_pending_[c] ? 2 : 0)));
-    sw.u8(static_cast<std::uint8_t>(po_expected_from_[c]));
+    sw.u8(static_cast<std::uint8_t>(book_.last_op[c]));
+    sw.u8(static_cast<std::uint8_t>((book_.last_op_live[c] ? 1 : 0) |
+                                    (book_.po_pending[c] ? 2 : 0)));
+    sw.u8(static_cast<std::uint8_t>(book_.po_expected_from[c]));
   }
   if (rules().store_chain) {  // emitted only under TSO: SC stays byte-stable
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      sw.u8(static_cast<std::uint8_t>(last_st_[p]));
-      sw.u8(static_cast<std::uint8_t>((last_st_live_[p] ? 1 : 0) |
-                                      (st_pending_[p] ? 2 : 0)));
-      sw.u8(static_cast<std::uint8_t>(st_expected_from_[p]));
+      sw.u8(static_cast<std::uint8_t>(book_.last_st[p]));
+      sw.u8(static_cast<std::uint8_t>((book_.last_st_live[p] ? 1 : 0) |
+                                      (book_.st_pending[p] ? 2 : 0)));
+      sw.u8(static_cast<std::uint8_t>(book_.st_expected_from[p]));
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    sw.u8(static_cast<std::uint8_t>(root_ref_[b]));
-    sw.u8(static_cast<std::uint8_t>((root_retired_[b] ? 1 : 0) |
-                                    (retired_no_in_[b] << 1) |
-                                    (retired_no_out_[b] << 3)));
+    sw.u8(static_cast<std::uint8_t>(book_.root_ref[b]));
+    sw.u8(static_cast<std::uint8_t>((book_.root_retired[b] ? 1 : 0) |
+                                    (book_.retired_no_in[b] << 1) |
+                                    (book_.retired_no_out[b] << 3)));
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      sw.u8(static_cast<std::uint8_t>(pending_bottom_[b][p]));
+      sw.u8(static_cast<std::uint8_t>(book_.pending_bottom[b][p]));
     }
   }
   sw.uvar(used_mask_);
@@ -801,32 +782,32 @@ void ScChecker::restore(ByteReader& r) {
   // Inverse of serialize(); int8 fields round-trip through uint8 so the
   // kNone/kGone sentinels survive.
   const auto i8 = [&r] { return static_cast<std::int8_t>(r.u8()); };
-  rejected_ = r.u8() != 0;
+  book_.rejected = r.u8() != 0;
   reason_.clear();  // diagnostic only; rejected states are never re-expanded
   for (std::size_t c = 0; c < chain_count(); ++c) {
-    last_op_[c] = i8();
+    book_.last_op[c] = i8();
     const std::uint8_t f = r.u8();
-    last_op_live_[c] = (f & 1) != 0;
-    po_pending_[c] = (f & 2) != 0;
-    po_expected_from_[c] = i8();
+    book_.last_op_live[c] = (f & 1) != 0;
+    book_.po_pending[c] = (f & 2) != 0;
+    book_.po_expected_from[c] = i8();
   }
   if (rules().store_chain) {
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      last_st_[p] = i8();
+      book_.last_st[p] = i8();
       const std::uint8_t f = r.u8();
-      last_st_live_[p] = (f & 1) != 0;
-      st_pending_[p] = (f & 2) != 0;
-      st_expected_from_[p] = i8();
+      book_.last_st_live[p] = (f & 1) != 0;
+      book_.st_pending[p] = (f & 2) != 0;
+      book_.st_expected_from[p] = i8();
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    root_ref_[b] = i8();
+    book_.root_ref[b] = i8();
     const std::uint8_t f = r.u8();
-    root_retired_[b] = (f & 1) != 0;
-    retired_no_in_[b] = (f >> 1) & 3;
-    retired_no_out_[b] = (f >> 3) & 3;
+    book_.root_retired[b] = (f & 1) != 0;
+    book_.retired_no_in[b] = (f >> 1) & 3;
+    book_.retired_no_out[b] = (f >> 3) & 3;
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      pending_bottom_[b][p] = i8();
+      book_.pending_bottom[b][p] = i8();
     }
   }
   // Free slots always hold a default Node (retire() resets them), so only
@@ -836,7 +817,7 @@ void ScChecker::restore(ByteReader& r) {
     nodes_[std::countr_zero(gone)] = Node{};
   }
   used_mask_ = used;
-  for (std::size_t i = 0; i < kMaxSlots; ++i) id_slot_[i] = kNone;
+  for (std::size_t i = 0; i < kMaxSlots; ++i) book_.id_slot[i] = kNone;
   for (std::uint64_t um = used; um != 0; um &= um - 1) {
     const int s = std::countr_zero(um);
     Node& n = nodes_[s];
@@ -847,7 +828,7 @@ void ScChecker::restore(ByteReader& r) {
     n.op.value = r.u8();
     n.id_set = r.uvar();
     for (std::uint64_t ids = n.id_set; ids != 0; ids &= ids - 1) {
-      id_slot_[std::countr_zero(ids)] = static_cast<std::int8_t>(s);
+      book_.id_slot[std::countr_zero(ids)] = static_cast<std::int8_t>(s);
     }
     n.out = r.uvar();
     const std::uint8_t f = r.u8();
@@ -864,7 +845,7 @@ void ScChecker::restore(ByteReader& r) {
     for (std::size_t p = 0; p < cfg_.procs; ++p) n.pending_ld[p] = i8();
     n.forced_out = r.uvar();
   }
-  touched_ = ~0u;  // arbitrary new state: no step to be relative to
+  book_.touched = ~0u;  // arbitrary new state: no step to be relative to
 }
 
 bool ScChecker::try_restore(std::span<const std::uint8_t> bytes,
@@ -991,7 +972,7 @@ bool ScChecker::try_restore(std::span<const std::uint8_t> bytes,
 void ScChecker::permute_procs(const ProcPerm& perm) {
   SCV_EXPECTS(perm.n == cfg_.procs);
   if (perm.is_identity()) return;
-  touched_ = ~0u;  // signatures relocate wholesale; the step mask is void
+  book_.touched = ~0u;  // signatures relocate wholesale; the step mask is void
 
   // Program-order chain bookkeeping moves to the renamed processor.
   std::int8_t last[kMaxChains];
@@ -1000,16 +981,16 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
   std::int8_t expected[kMaxChains];
   for (std::size_t c = 0; c < chain_count(); ++c) {
     const std::size_t dst = rules().chain_image(c, perm.to, cfg_.blocks);
-    last[dst] = last_op_[c];
-    live[dst] = last_op_live_[c];
-    pending[dst] = po_pending_[c];
-    expected[dst] = po_expected_from_[c];
+    last[dst] = book_.last_op[c];
+    live[dst] = book_.last_op_live[c];
+    pending[dst] = book_.po_pending[c];
+    expected[dst] = book_.po_expected_from[c];
   }
   for (std::size_t c = 0; c < chain_count(); ++c) {
-    last_op_[c] = last[c];
-    last_op_live_[c] = live[c];
-    po_pending_[c] = pending[c];
-    po_expected_from_[c] = expected[c];
+    book_.last_op[c] = last[c];
+    book_.last_op_live[c] = live[c];
+    book_.po_pending[c] = pending[c];
+    book_.po_expected_from[c] = expected[c];
   }
 
   // Store-chain bookkeeping moves with its processor (identity under
@@ -1020,26 +1001,26 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
     bool st_pend[kMaxProcs];
     std::int8_t st_exp[kMaxProcs];
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      st_last[perm.to[p]] = last_st_[p];
-      st_live[perm.to[p]] = last_st_live_[p];
-      st_pend[perm.to[p]] = st_pending_[p];
-      st_exp[perm.to[p]] = st_expected_from_[p];
+      st_last[perm.to[p]] = book_.last_st[p];
+      st_live[perm.to[p]] = book_.last_st_live[p];
+      st_pend[perm.to[p]] = book_.st_pending[p];
+      st_exp[perm.to[p]] = book_.st_expected_from[p];
     }
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      last_st_[p] = st_last[p];
-      last_st_live_[p] = st_live[p];
-      st_pending_[p] = st_pend[p];
-      st_expected_from_[p] = st_exp[p];
+      book_.last_st[p] = st_last[p];
+      book_.last_st_live[p] = st_live[p];
+      book_.st_pending[p] = st_pend[p];
+      book_.st_expected_from[p] = st_exp[p];
     }
   }
 
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
     std::int8_t row[kMaxProcs];
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      row[perm.to[p]] = pending_bottom_[b][p];
+      row[perm.to[p]] = book_.pending_bottom[b][p];
     }
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      pending_bottom_[b][p] = row[p];
+      book_.pending_bottom[b][p] = row[p];
     }
   }
 
@@ -1058,17 +1039,17 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
 
 void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
   const auto write_chain = [&](std::size_t c) {
-    const std::int8_t s = last_op_[c];
+    const std::int8_t s = book_.last_op[c];
     if (s == kNone) {
       w.u8(0);
       return;
     }
     std::uint8_t flags = 1;
-    if (last_op_live_[c]) flags |= 2;
-    if (po_pending_[c]) flags |= 4;
-    if (po_expected_from_[c] != kNone) flags |= 8;
+    if (book_.last_op_live[c]) flags |= 2;
+    if (book_.po_pending[c]) flags |= 4;
+    if (book_.po_expected_from[c] != kNone) flags |= 8;
     w.u8(flags);
-    if (last_op_live_[c] && used(s)) {
+    if (book_.last_op_live[c] && used(s)) {
       const Node& n = nodes_[static_cast<std::size_t>(s)];
       w.u8(static_cast<std::uint8_t>(n.op.kind));
       w.u8(n.op.block);
@@ -1079,16 +1060,16 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
     write_chain(rules().chain_of(p, i, cfg_.blocks));
   }
   if (rules().store_chain) {  // store-tail record, TSO only
-    const std::int8_t s = last_st_[p];
+    const std::int8_t s = book_.last_st[p];
     if (s == kNone) {
       w.u8(0);
     } else {
       std::uint8_t flags = 1;
-      if (last_st_live_[p]) flags |= 2;
-      if (st_pending_[p]) flags |= 4;
-      if (st_expected_from_[p] != kNone) flags |= 8;
+      if (book_.last_st_live[p]) flags |= 2;
+      if (book_.st_pending[p]) flags |= 4;
+      if (book_.st_expected_from[p] != kNone) flags |= 8;
       w.u8(flags);
-      if (last_st_live_[p] && used(s)) {
+      if (book_.last_st_live[p] && used(s)) {
         const Node& n = nodes_[static_cast<std::size_t>(s)];
         w.u8(n.op.block);
         w.u8(n.op.value);
@@ -1096,7 +1077,7 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    w.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
+    w.u8(book_.pending_bottom[b][p] != kNone ? 1 : 0);
   }
   std::uint32_t mine = 0;
   std::uint64_t cm = used_mask_;
@@ -1111,18 +1092,18 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
 std::uint32_t ScChecker::obligation_procs() const noexcept {
   std::uint32_t mask = 0;
   for (std::size_t c = 0; c < chain_count(); ++c) {
-    if (po_pending_[c]) {
+    if (book_.po_pending[c]) {
       mask |= 1u << rules().proc_of_chain(c, cfg_.blocks);
     }
   }
   if (rules().store_chain) {
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      if (st_pending_[p]) mask |= 1u << p;
+      if (book_.st_pending[p]) mask |= 1u << p;
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
-      if (pending_bottom_[b][p] != kNone) mask |= 1u << p;
+      if (book_.pending_bottom[b][p] != kNone) mask |= 1u << p;
     }
   }
   for (std::uint64_t m = used_mask_; m != 0; m &= m - 1) {

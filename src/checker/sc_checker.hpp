@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "checker/memory_model.hpp"
 #include "descriptor/symbol.hpp"
@@ -74,11 +75,13 @@ class ScChecker {
   explicit ScChecker(const ScCheckerConfig& config);
 
   ScChecker(const ScChecker&) = default;
+  ScChecker(ScChecker&&) = default;
   /// Copies the live slots only: slots outside used_mask_ always hold a
   /// default Node, so the ones leaving the live set are reset and the rest
   /// of the 64-slot array is left alone.  The model checker copies a
   /// checker into its successor scratch before every transition.
   ScChecker& operator=(const ScChecker& other);
+  ScChecker& operator=(ScChecker&&) = default;
 
   /// Consumes one observer symbol; once rejected, stays rejected.
   Status feed(const Symbol& sym);
@@ -89,7 +92,7 @@ class ScChecker {
   Status feed_batch(std::span<const Symbol> syms);
 
   [[nodiscard]] const ScCheckerConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] bool rejected() const noexcept { return rejected_; }
+  [[nodiscard]] bool rejected() const noexcept { return book_.rejected; }
   [[nodiscard]] const std::string& reject_reason() const noexcept {
     return reason_;
   }
@@ -161,9 +164,9 @@ class ScChecker {
   /// feed) owns the reset; restore() and permute_procs() poison the mask to
   /// all-ones.  Conservative supersets are sound (DESIGN.md §13).
   [[nodiscard]] std::uint32_t touched_procs() const noexcept {
-    return touched_;
+    return book_.touched;
   }
-  void reset_touched() noexcept { touched_ = 0; }
+  void reset_touched() noexcept { book_.touched = 0; }
 
   /// Bitmask (bit p set) of processors that currently carry an open
   /// constraint-graph obligation: an undischarged program-order edge, a
@@ -234,15 +237,6 @@ class ScChecker {
   [[nodiscard]] bool used(int s) const noexcept {
     return ((used_mask_ >> s) & 1U) != 0;
   }
-  /// Flat ID → slot map: id_slot_[id] is the slot whose id_set holds `id`,
-  /// kNone if unbound.  Every edge symbol resolves two IDs, so slot_of is
-  /// the hottest lookup in the per-symbol path; the flat map makes it one
-  /// indexed load instead of a set-bit scan over the active nodes'
-  /// id_sets.  Maintained at bind (on_node, AddId), unbind, retirement and
-  /// restore; IDs are bounded by k+1 < kMaxSlots, so the table indexes by
-  /// raw GraphId.
-  std::int8_t id_slot_[kMaxSlots];
-
   // Program order bookkeeping, one chain per processor — or per
   // (processor, block) under a per-block-chain model (coherence).
   static constexpr std::size_t kMaxChains = kMaxProcs * kMaxBlocks;
@@ -252,39 +246,58 @@ class ScChecker {
   [[nodiscard]] std::size_t chain_of(const Operation& op) const {
     return rules().chain_of(op.proc, op.block, cfg_.blocks);
   }
-  std::int8_t last_op_[kMaxChains];  ///< slot of latest op per chain
-  bool last_op_live_[kMaxChains];    ///< false once that slot retired
-  bool po_pending_[kMaxChains];      ///< awaiting (prev -> latest) edge
-  std::int8_t po_expected_from_[kMaxChains];
 
-  // Store-chain bookkeeping (ModelRules::store_chain, i.e. TSO): each
-  // processor's store subsequence is disciplined like a second po chain, so
-  // ST→ST order survives the relaxed ST→LD gaps.  When the previous
-  // operation of the processor is itself the chain tail store, the ordinary
-  // chain edge covers the pair and no separate store-chain edge is owed.
-  // All four arrays stay at their initial values under models without the
-  // rule, and none of the serialization paths emit them then — SC and
-  // coherence encodings are byte-identical to the pre-model-axis checker.
-  std::int8_t last_st_[kMaxProcs];  ///< slot of latest store per proc
-  bool last_st_live_[kMaxProcs];    ///< false once that slot retired
-  bool st_pending_[kMaxProcs];      ///< awaiting (prev store -> latest) edge
-  std::int8_t st_expected_from_[kMaxProcs];
+  /// Everything mutable besides the node slots and the reject reason, in
+  /// one trivially copyable block: the copy assignment copies it whole, so
+  /// a field added here is copied too.
+  struct Bookkeeping {
+    /// Flat ID → slot map: id_slot[id] is the slot whose id_set holds
+    /// `id`, kNone if unbound.  Every edge symbol resolves two IDs, so
+    /// slot_of is the hottest lookup in the per-symbol path; the flat map
+    /// makes it one indexed load instead of a set-bit scan over the active
+    /// nodes' id_sets.  Maintained at bind (on_node, AddId), unbind,
+    /// retirement and restore; IDs are bounded by k+1 < kMaxSlots, so the
+    /// table indexes by raw GraphId.
+    std::int8_t id_slot[kMaxSlots];
 
-  // Per-block ST order / ⊥-load bookkeeping.
-  std::int8_t root_ref_[kMaxBlocks];  ///< store pinned as STo-first by a
-                                      ///< ⊥-load's forced edge
-  bool root_retired_[kMaxBlocks];     ///< pinned root has retired
-  std::uint8_t retired_no_in_[kMaxBlocks];
-  std::uint8_t retired_no_out_[kMaxBlocks];
-  std::int8_t pending_bottom_[kMaxBlocks][kMaxProcs];
+    std::int8_t last_op[kMaxChains];  ///< slot of latest op per chain
+    bool last_op_live[kMaxChains];    ///< false once that slot retired
+    bool po_pending[kMaxChains];      ///< awaiting (prev -> latest) edge
+    std::int8_t po_expected_from[kMaxChains];
+
+    // Store-chain bookkeeping (ModelRules::store_chain, i.e. TSO): each
+    // processor's store subsequence is disciplined like a second po chain,
+    // so ST→ST order survives the relaxed ST→LD gaps.  When the previous
+    // operation of the processor is itself the chain tail store, the
+    // ordinary chain edge covers the pair and no separate store-chain edge
+    // is owed.  All four arrays stay at their initial values under models
+    // without the rule, and none of the serialization paths emit them
+    // then — SC and coherence encodings are byte-identical to the
+    // pre-model-axis checker.
+    std::int8_t last_st[kMaxProcs];  ///< slot of latest store per proc
+    bool last_st_live[kMaxProcs];    ///< false once that slot retired
+    bool st_pending[kMaxProcs];      ///< awaiting (prev store -> latest) edge
+    std::int8_t st_expected_from[kMaxProcs];
+
+    // Per-block ST order / ⊥-load bookkeeping.
+    std::int8_t root_ref[kMaxBlocks];  ///< store pinned as STo-first by a
+                                       ///< ⊥-load's forced edge
+    bool root_retired[kMaxBlocks];     ///< pinned root has retired
+    std::uint8_t retired_no_in[kMaxBlocks];
+    std::uint8_t retired_no_out[kMaxBlocks];
+    std::int8_t pending_bottom[kMaxBlocks][kMaxProcs];
+
+    bool rejected = false;
+    std::uint32_t touched = ~0u;  ///< see touched_procs()
+  };
+  static_assert(std::is_trivially_copyable_v<Bookkeeping>);
+  Bookkeeping book_;
 
   /// See touched_procs().  Mutation sites: node arrival/retirement (chain
   /// records and per-processor node counts), program-order edge discharge,
   /// and pending-⊥ anchor updates.
-  void mark_touched(std::size_t p) noexcept { touched_ |= 1u << p; }
+  void mark_touched(std::size_t p) noexcept { book_.touched |= 1u << p; }
 
-  bool rejected_ = false;
-  std::uint32_t touched_ = ~0u;
   std::string reason_;
 };
 

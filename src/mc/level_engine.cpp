@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -12,7 +13,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "mc/frontier_batch.hpp"
 #include "mc/level_order.hpp"
 #include "util/assert.hpp"
 #include "util/concurrent_fp_set.hpp"
@@ -149,6 +149,37 @@ class ConcurrentStateStore {
   bool exact_;
   ConcurrentFingerprintSet fps_;
   std::array<Stripe, kStripes> stripes_;
+};
+
+/// One worker's slice of a BFS level as flat serialized entries:
+/// [preemption context, when bounded][product snapshot], delimited by an
+/// offsets array.  This is the compact frontier: a level lives as two flat
+/// buffers per worker (the one being read and the one being written)
+/// instead of a heavyweight object graph per state.  Both are page-mapped
+/// once large (util/page_alloc.hpp), so they leave the process with the
+/// run.
+struct FrontierBatch {
+  PageVector<std::uint8_t> bytes;
+  PageVector<std::uint32_t> offsets;
+
+  [[nodiscard]] std::size_t size() const noexcept { return offsets.size(); }
+  void push(std::span<const std::uint8_t> e) {
+    // Offsets are 32-bit: a batch past 4 GiB would address wrapped spans.
+    SCV_EXPECTS(bytes.size() <= std::numeric_limits<std::uint32_t>::max());
+    append(offsets, static_cast<std::uint32_t>(bytes.size()));
+    append(bytes, e);
+  }
+  [[nodiscard]] std::span<const std::uint8_t> entry(std::size_t i) const {
+    const std::size_t begin = offsets[i];
+    const std::size_t end =
+        i + 1 < offsets.size() ? offsets[i + 1] : bytes.size();
+    return std::span<const std::uint8_t>(bytes).subspan(begin, end - begin);
+  }
+  /// Keeps the allocations for the next level (double buffering).
+  void clear() noexcept {
+    bytes.clear();
+    offsets.clear();
+  }
 };
 
 /// Scheduling context carried per state under a bounded-preemption model
@@ -319,7 +350,7 @@ class LevelEngine {
       const std::size_t states_before = states_.n.load();
       const std::size_t total = frontier_entries_;
       std::size_t cur_bytes = order_.size() * sizeof(std::uint64_t);
-      for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes();
+      for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes.size();
       for (const auto& ws : workers_) ws->out.clear();
       links_.emplace_back();  // the next level's
 
@@ -563,10 +594,10 @@ class LevelEngine {
     const std::size_t n = states_.n.fetch_add(1, std::memory_order_relaxed);
     // One worker claims in rank order, so its batch is the next frontier
     // and the claim rank is the state's minimum rank.
-    if (!ranked_) links_.back().push_back(rank);
+    if (!ranked_) append(links_.back(), rank);
     if (logging_) {
-      ws.claims[rank_partition(fp, nworkers_)].push_back(
-          {fp, rank, static_cast<std::uint32_t>(ws.out.size())});
+      append(ws.claims[rank_partition(fp, nworkers_)],
+             RankClaim{fp, rank, static_cast<std::uint32_t>(ws.out.size())});
     }
     append_entry(ws.out, ws.entry_buf, ps, ws.succ);
     return n + 1 < opt_.max_states;
@@ -740,7 +771,7 @@ class LevelEngine {
     for (std::size_t w = 0; w < nworkers_; ++w) {
       std::swap(frontier_[w], workers_[w]->out);
       next_entries += frontier_[w].size();
-      next_bytes += frontier_[w].bytes();
+      next_bytes += frontier_[w].bytes.size();
     }
     SCV_ASSERT(links_.back().size() == next_entries);
     if (ranked_) order_.swap(next_order_);
@@ -879,7 +910,7 @@ class LevelEngine {
         continue;
       }
       if (ranked_ && claimed == Claim::StoreDup) {
-        ws.offers[rank_partition(fp, nworkers_)].push_back({fp, rank});
+        append(ws.offers[rank_partition(fp, nworkers_)], RankOffer{fp, rank});
       }
       // Possible non-depth-increasing ample edge (C3): the duplicate may
       // predate this level, closing a cycle inside the reduced graph.  The

@@ -30,9 +30,10 @@
 // pin every fingerprint to one shard.
 //
 // An insert probes read-only first: finding its fingerprint answers
-// `Duplicate` without a shared write, which is what most of a BFS's inserts
-// are.  Only a probe that reaches an empty slot reserves occupancy, just
-// before its CAS, and a successful claim keeps the reservation.
+// `Duplicate` without a shared write (41–51% of the inserts of the
+// benchmark's model-checking calls; DESIGN.md §9).  Only a probe that
+// reaches an empty slot reserves occupancy, just before its CAS, and a
+// successful claim keeps the reservation.
 //
 // Capacity is fixed while concurrent inserts run.  A relaxed per-shard
 // reservation counter bounds occupancy at 7/8 of the shard so probe loops

@@ -14,8 +14,12 @@
 // sanitizer keeps checking these buffers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <new>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -80,5 +84,32 @@ class PageAllocator {
 
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
+
+/// Appends `src` to `v` with one memcpy; when `v` must regrow, its elements
+/// move to twice the capacity with one memcpy too.  std::vector's own
+/// insert and regrowth construct element by element under any allocator
+/// but std::allocator.
+template <class T>
+void append(PageVector<T>& v, std::span<const T> src) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::size_t size = v.size();
+  if (v.capacity() - size < src.size()) {
+    PageVector<T> grown;
+    grown.reserve(std::max(2 * v.capacity(), size + src.size()));
+    grown.resize(size);
+    if (size != 0) std::memcpy(grown.data(), v.data(), size * sizeof(T));
+    v.swap(grown);
+  }
+  v.resize(size + src.size());
+  if (!src.empty()) {
+    std::memcpy(v.data() + size, src.data(), src.size_bytes());
+  }
+}
+
+/// Appends one element, regrowing as append(v, span) does.
+template <class T>
+void append(PageVector<T>& v, const T& x) {
+  append(v, std::span<const T>(&x, 1));
+}
 
 }  // namespace scv

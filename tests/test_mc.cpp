@@ -3,11 +3,6 @@
 // agreement, and resource-limit handling.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <vector>
-
-#include "mc/frontier_batch.hpp"
 #include "mc/model_checker.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/get_shared_toy.hpp"
@@ -328,68 +323,6 @@ TEST(Parallel, LevelBuffersAreUnmappedOnReturn) {
       EXPECT_EQ(page_mapped_bytes(), 0u);
     }
   }
-}
-
-TEST(FrontierBatch, EntriesStayWholeAcrossChunks) {
-  // A batch copies each entry whole into fixed chunks that never move: one
-  // past a chunk's room starts the next chunk, so a batch past one chunk
-  // crosses chunk boundaries.  Every entry reads back intact, a cleared
-  // batch refills the chunks it has, and they are unmapped with it.
-  constexpr std::size_t kChunk = FrontierBatch::kChunkBytes;
-  std::vector<std::vector<std::uint8_t>> want;
-  std::size_t total = 0;
-  std::uint64_t x = 1;
-  while (total < 3 * kChunk + kChunk / 2) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    // One entry fills a chunk on its own; the rest leave uneven tails.
-    const std::size_t len = want.size() == 100 ? kChunk : 1 + (x >> 33) % 6000;
-    std::vector<std::uint8_t> e(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      e[i] = static_cast<std::uint8_t>((x >> (8 * (i % 8))) + i);
-    }
-    total += len;
-    want.push_back(std::move(e));
-  }
-  // The chunks a first-fit packing needs.
-  std::size_t chunks = 0;
-  std::size_t fill = kChunk;
-  for (const auto& e : want) {
-    if (kChunk - fill < e.size()) {
-      ++chunks;
-      fill = 0;
-    }
-    fill += e.size();
-  }
-  ASSERT_GE(chunks, 5u);
-
-  const std::size_t mapped_before = page_mapped_bytes();
-  {
-    FrontierBatch b;
-    std::size_t mapped_total = 0;
-    for (int round = 0; round < 2; ++round) {
-      SCOPED_TRACE(round);
-      b.clear();
-      b.push(want[0]);
-      const std::uint8_t* first = b.entry(0).data();
-      for (std::size_t i = 1; i < want.size(); ++i) b.push(want[i]);
-      EXPECT_EQ(b.entry(0).data(), first);
-      EXPECT_EQ(b.size(), want.size());
-      EXPECT_EQ(b.chunks(), chunks);
-      EXPECT_EQ(b.bytes(), total);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        const auto got = b.entry(i);
-        ASSERT_TRUE(std::equal(got.begin(), got.end(), want[i].begin(),
-                               want[i].end()))
-            << i;
-      }
-      if (round == 0) mapped_total = page_mapped_total();
-    }
-    if (kPageMapping) {
-      EXPECT_EQ(page_mapped_total(), mapped_total);
-      EXPECT_GE(page_mapped_bytes(), mapped_before + chunks * kChunk);
-    }
-  }
-  EXPECT_EQ(page_mapped_bytes(), mapped_before);
 }
 
 // ------------------------------------------- fingerprint vs exact store

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -269,6 +270,51 @@ TEST(PageAlloc, VectorGrowingAcrossTheThresholdKeepsItsContents) {
     }
   }
   EXPECT_EQ(page_mapped_bytes(), 0u);
+}
+
+TEST(PageAlloc, AppendKeepsContentsAcrossRegrowth) {
+  // append() copies each span in bulk and regrows to twice the capacity;
+  // runs of uneven lengths (some empty) cross the mapping threshold.
+  std::vector<std::uint8_t> want;
+  {
+    PageVector<std::uint8_t> v;
+    std::uint64_t x = 1;
+    while (want.size() < 3 * kPageMapThreshold) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      std::vector<std::uint8_t> run((x >> 33) % 3000);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        run[i] = static_cast<std::uint8_t>((x >> (8 * (i % 8))) + i);
+      }
+      const std::size_t cap = v.capacity();
+      append(v, std::span<const std::uint8_t>(run));
+      want.insert(want.end(), run.begin(), run.end());
+      ASSERT_EQ(v.size(), want.size());
+      if (v.capacity() != cap) {
+        EXPECT_EQ(v.capacity(), std::max(2 * cap, want.size()));
+      }
+      // Only the live buffer is held: a regrow unmaps the one it left.
+      ASSERT_EQ(page_mapped_bytes(), charged(v.capacity()));
+    }
+    EXPECT_TRUE(std::equal(v.begin(), v.end(), want.begin(), want.end()));
+    if (kPageMapping) {
+      EXPECT_TRUE(page_aligned(v.data()));
+    }
+  }
+  EXPECT_EQ(page_mapped_bytes(), 0u);
+
+  // One element at a time, of a type that is not zero when
+  // default-constructed: every value appended survives every regrowth.
+  struct Log {
+    std::uint64_t a = ~std::uint64_t{0};
+    std::uint32_t b = 7;
+  };
+  PageVector<Log> logs;
+  for (std::uint32_t i = 0; i < 5000; ++i) append(logs, Log{i, i * 3u});
+  ASSERT_EQ(logs.size(), 5000u);
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    ASSERT_EQ(logs[i].a, i);
+    ASSERT_EQ(logs[i].b, i * 3u);
+  }
 }
 
 TEST(PageAlloc, MoveAndSwapKeepTheMapping) {

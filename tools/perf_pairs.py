@@ -13,8 +13,10 @@ every end-to-end metric, each side's median [q1, q3], the number of pairs
 in which the change was better in the metric's "better" direction, and each
 side's failed/attempted operations.  With --trace the runs are traced
 (--trace 1) and the table lists every per_layer metric of BENCHMARK.json
-that the workload reports instead.  Exit status 1 if any run reported a
-failed operation, 2 if a run gave no result.
+that the workload reports instead; a per_layer metric that some runs report
+and others do not is named in a warning and left out of the table.  Exit
+status 1 if any run reported a failed operation, 2 if a run gave no result
+or lacked an end-to-end metric.
 
 perfbench timings move with the length of the checkout's path (it shifts
 the binary's layout), so compare two checkouts whose paths have the same
@@ -54,16 +56,27 @@ def run_once(root, command, workload, args):
     return json.loads(lines[-1])
 
 
-def report(workload, metrics, results):
+def report(workload, metrics, results, mandatory):
+    """Prints the table; False if a mandatory metric is missing from a run."""
     print(workload)
     row = "  %-30s %-40s %-40s %s"
     print(row % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
                  "change better"))
+    complete = True
     for m in metrics:
         name = m["name"]
-        if any(name not in r["metrics"] for side in results
-               for r in results[side]):
-            continue  # not a metric of this workload
+        lacking = ["%s run %d" % (side, i + 1)
+                   for side in ("parent", "change")
+                   for i, r in enumerate(results[side])
+                   if name not in r["metrics"]]
+        runs = len(results["parent"]) + len(results["change"])
+        if lacking and (mandatory or len(lacking) < runs):
+            print("perf_pairs: %s: %s missing from %s" %
+                  ("error" if mandatory else "warning", name,
+                   ", ".join(lacking)), file=sys.stderr)
+            complete = complete and not mandatory
+        if lacking:
+            continue  # not reported by every run (none: not this workload's)
         cells = []
         for side in ("parent", "change"):
             vs = [r["metrics"][name]["value"] for r in results[side]]
@@ -81,6 +94,7 @@ def report(workload, metrics, results):
                             sum(r["attempted"] for r in results[side]))
               for side in ("parent", "change")]
     print("  failed/attempted: " + ", ".join(counts))
+    return complete
 
 
 def main():
@@ -123,8 +137,10 @@ def main():
                     return 2
                 results[side].append(r)
                 ok = ok and r["failed"] == 0
-        report(workload, spec["per_layer" if args.trace else "end_to_end"],
-               results)
+        if not report(workload,
+                      spec["per_layer" if args.trace else "end_to_end"],
+                      results, mandatory=not args.trace):
+            return 2
     return 0 if ok else 1
 
 
