@@ -175,10 +175,15 @@ struct FrontierBatch {
         i + 1 < offsets.size() ? offsets[i + 1] : bytes.size();
     return std::span<const std::uint8_t>(bytes).subspan(begin, end - begin);
   }
-  /// Keeps the allocations for the next level (double buffering).
-  void clear() noexcept {
+  /// Empties the batch for the next level, keeping its allocations (double
+  /// buffering) and making room for `like`'s contents.  A batch that regrows
+  /// mid-level copies itself whole inside one entry, which the sampled phase
+  /// split would weigh 16-fold whenever that entry is sampled.
+  void clear_for(const FrontierBatch& like) {
     bytes.clear();
     offsets.clear();
+    bytes.reserve(like.bytes.size());
+    offsets.reserve(like.offsets.size());
   }
 };
 
@@ -351,7 +356,9 @@ class LevelEngine {
       const std::size_t total = frontier_entries_;
       std::size_t cur_bytes = order_.size() * sizeof(std::uint64_t);
       for (const FrontierBatch& b : frontier_) cur_bytes += b.bytes.size();
-      for (const auto& ws : workers_) ws->out.clear();
+      for (std::size_t w = 0; w < nworkers_; ++w) {
+        workers_[w]->out.clear_for(frontier_[w]);
+      }
       links_.emplace_back();  // the next level's
 
       run_phase(0, total);

@@ -85,10 +85,11 @@ class PageAllocator {
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// Appends `src` to `v` with one memcpy; when `v` must regrow, its elements
-/// move to twice the capacity with one memcpy too.  std::vector's own
-/// insert and regrowth construct element by element under any allocator
-/// but std::allocator.
+/// Appends `src` to `v` with one memcpy over the tail that `resize` has
+/// zero-filled; when `v` must regrow, its elements move to twice the
+/// capacity the same way.  std::vector's own insert and regrowth construct
+/// element by element under any allocator but std::allocator.  `src` must
+/// not point into `v`: a regrowth frees the old buffer before the copy.
 template <class T>
 void append(PageVector<T>& v, std::span<const T> src) {
   static_assert(std::is_trivially_copyable_v<T>);
